@@ -83,28 +83,25 @@ if [[ "$(echo "$CSV_BIG_OFF" | cut -d, -f1-5)" != \
   exit 1
 fi
 
-# Learning ablation on the same two tails (the clause-quality PR): the
-# three --learn modes at identical flags otherwise, recording wall time
-# and the aborted totals. 'off' is the pre-learning baseline, 'on' the
+# Learning ablation on the same two tails (the clause-quality PR): both
+# --learn modes at identical flags otherwise, recording wall time and
+# the aborted totals. 'off' is the pre-learning baseline, 'on' the
 # deterministic per-fault learner (tiered clauses + activity ordering +
-# luby restarts), 'shared' adds cross-fault clause exchange.
-for mode in off on shared; do
+# luby restarts).
+for mode in off on; do
   echo "run_benchmarks: s1196+s1238 with --learn $mode ..." >&2
   TA=$(date +%s.%N)
-  # --stages rides along (filtered back out of the CSV) so the shared
-  # leg's clause-store footprint lands in the JSON.
-  raw=$("$GDF_ATPG" $BIG --csv --jobs "$JOBS" --learn "$mode" --stages)
+  csv=$("$GDF_ATPG" $BIG --csv --jobs "$JOBS" --learn "$mode")
   TB=$(date +%s.%N)
-  declare "LEARN_CSV_$mode=$(echo "$raw" | grep -v '^ ')"
-  declare "LEARN_STAGES_$mode=$(echo "$raw" | grep '^ ' || true)"
+  declare "LEARN_CSV_$mode=$csv"
   declare "LEARN_WALL_$mode=$(echo "$TB $TA" | awk '{printf "%.3f", $1 - $2}')"
 done
 
 # Deterministic budget leg (the robustness PR): the same two tails under
 # --fault-budget, recording how many faults the assignment cap aborts and
-# what the capped sweep costs. Unlike --per-fault-seconds this keeps
-# sharding on and produces identical bytes at any jobs value, so the
-# abort count is comparable across PRs on any hardware.
+# what the capped sweep costs. The budget keeps sharding on and produces
+# identical bytes at any jobs value, so the abort count is comparable
+# across PRs on any hardware.
 FAULT_BUDGET=5000
 echo "run_benchmarks: s1196+s1238 with --fault-budget $FAULT_BUDGET ..." >&2
 T6=$(date +%s.%N)
@@ -114,22 +111,6 @@ T7=$(date +%s.%N)
 CSV_BUDGET=$(echo "$CSV_BUDGET_RAW" | grep -v '^ ')
 STAGES_BUDGET=$(echo "$CSV_BUDGET_RAW" | grep '^ ' || true)
 WALL_BUDGET=$(echo "$T7 $T6" | awk '{printf "%.3f", $1 - $2}')
-
-# ADI ordering budget trade-off (satellite of the backend PR): the
-# sampling-based fault order spends adi_sequences random sequences per
-# estimate. Sweep the budget on two mid-size circuits and record how
-# coverage and runtime move with the sample count — the first data point
-# for picking a default.
-ADI_CIRCUITS="--circuit s298 --circuit s386"
-for budget in 2 8 16; do
-  echo "run_benchmarks: --fault-order adi --adi-sequences $budget ..." >&2
-  TA=$(date +%s.%N)
-  csv=$("$GDF_ATPG" $ADI_CIRCUITS --csv --fault-order adi \
-    --adi-sequences "$budget")
-  TB=$(date +%s.%N)
-  declare "ADI_CSV_$budget=$csv"
-  declare "ADI_WALL_$budget=$(echo "$TB $TA" | awk '{printf "%.3f", $1 - $2}')"
-done
 
 MICRO_JSON="null"
 if [[ -x "$MICRO_SIM" ]]; then
@@ -149,11 +130,6 @@ CSV_J1="$CSV_J1" CSV_JN="$CSV_JN" JOBS="$JOBS" HW="$HW" \
   STAGES_BUDGET="$STAGES_BUDGET" WALL_BUDGET="$WALL_BUDGET" \
   LEARN_CSV_off="$LEARN_CSV_off" LEARN_WALL_off="$LEARN_WALL_off" \
   LEARN_CSV_on="$LEARN_CSV_on" LEARN_WALL_on="$LEARN_WALL_on" \
-  LEARN_CSV_shared="$LEARN_CSV_shared" LEARN_WALL_shared="$LEARN_WALL_shared" \
-  LEARN_STAGES_shared="$LEARN_STAGES_shared" \
-  ADI_CSV_2="$ADI_CSV_2" ADI_WALL_2="$ADI_WALL_2" \
-  ADI_CSV_8="$ADI_CSV_8" ADI_WALL_8="$ADI_WALL_8" \
-  ADI_CSV_16="$ADI_CSV_16" ADI_WALL_16="$ADI_WALL_16" \
   python3 - "$OUTPUT" "$MICRO_JSON" <<'EOF'
 import json
 import os
@@ -269,12 +245,6 @@ for m in re.finditer(
     search_core["lbd_le2"] += int(m.group(4))
     search_core["lbd_3_6"] += int(m.group(5))
     search_core["lbd_gt6"] += int(m.group(6))
-# The store footprint only exists on the --learn shared ablation leg —
-# the main sweeps run the per-fault learner, whose gauge is zero.
-clause_store_bytes = 0
-for m in re.finditer(r"shared clause store\s+(\d+) bytes",
-                     os.environ.get("LEARN_STAGES_shared", "")):
-    clause_store_bytes += int(m.group(1))
 
 # Simulation-kernel counters (the backend PR): which backend ran and how
 # many gate evaluations each lane width performed over the tail circuits.
@@ -313,7 +283,7 @@ if base and "items_per_second" in base:
 # The learning ablation over the s1196+s1238 tails: wall seconds and
 # verdict mix per --learn mode at otherwise identical flags.
 learning_ablation = []
-for mode in ("off", "on", "shared"):
+for mode in ("off", "on"):
     rows = parse(os.environ[f"LEARN_CSV_{mode}"])
     learning_ablation.append({
         "learn": mode,
@@ -329,14 +299,13 @@ for mode in ("off", "on", "shared"):
 # the deterministic assignment cap cut off. Byte-identical at any jobs
 # or sharding value, so the counts diff cleanly across PRs.
 budget_rows = parse(os.environ["CSV_BUDGET"])
-budget_aborts = {"local": 0, "sequential": 0, "time": 0, "budget": 0}
+budget_aborts = {"local": 0, "sequential": 0, "budget": 0}
 for m in re.finditer(
-        r"aborts\s+local (\d+), sequential (\d+), time (\d+), budget (\d+)",
+        r"aborts\s+local (\d+), sequential (\d+), budget (\d+)",
         os.environ.get("STAGES_BUDGET", "")):
     budget_aborts["local"] += int(m.group(1))
     budget_aborts["sequential"] += int(m.group(2))
-    budget_aborts["time"] += int(m.group(3))
-    budget_aborts["budget"] += int(m.group(4))
+    budget_aborts["budget"] += int(m.group(3))
 fault_budget = {
     "budget_assignments": int(os.environ["FAULT_BUDGET"]),
     "wall_seconds": float(os.environ["WALL_BUDGET"]),
@@ -345,19 +314,6 @@ fault_budget = {
     "aborted": sum(r["aborted"] for r in budget_rows),
     "aborted_by_cause": budget_aborts,
 }
-
-# The ADI budget sweep: coverage/runtime versus sample count.
-adi_budget = []
-for budget in (2, 8, 16):
-    rows = parse(os.environ[f"ADI_CSV_{budget}"])
-    adi_budget.append({
-        "adi_sequences": budget,
-        "circuits": [r["circuit"] for r in rows],
-        "tested": sum(r["tested"] for r in rows),
-        "aborted": sum(r["aborted"] for r in rows),
-        "patterns": sum(r["patterns"] for r in rows),
-        "wall_seconds": float(os.environ[f"ADI_WALL_{budget}"]),
-    })
 
 report = {
     "benchmark": "gdf_atpg --all --csv",
@@ -377,10 +333,8 @@ report = {
         round(big_off / big_shard, 2) if big_shard > 0 else None,
     # ISSUE-5 search-core counters over the s1196+s1238 sequential run.
     "search_core_s1196_s1238": search_core,
-    # Shared clause store footprint of that run (0 unless --learn shared).
-    "clause_store_bytes_s1196_s1238": clause_store_bytes,
-    # The clause-quality PR's ablation: --learn off/on/shared over the
-    # same two tails (wall seconds + verdict mix).
+    # The clause-quality PR's ablation: --learn off/on over the same two
+    # tails (wall seconds + verdict mix).
     "learning_ablation": learning_ablation,
     # Aborted faults per circuit plus the catalog total (the learning PR's
     # effectiveness metric: learning may only shrink these).
@@ -389,8 +343,7 @@ report = {
         "total": sum(row["aborted"] for row in circuits),
     },
     # The backend PR: active backend plus per-width kernel eval counts
-    # over the same run, the WordN<K> micro ladder, and the ADI ordering
-    # sampling-budget trade-off.
+    # over the same run and the WordN<K> micro ladder.
     "sim_backend": backend_m.group(1) if backend_m else None,
     "sim_lanes": int(backend_m.group(2)) if backend_m else None,
     "sim_kernel_evals_s1196_s1238": sim_kernel,
@@ -398,7 +351,6 @@ report = {
     # The robustness PR: the same tails under a deterministic per-fault
     # assignment cap, with aborts attributed by cause.
     "fault_budget_s1196_s1238": fault_budget,
-    "adi_budget": adi_budget,
     # Sum of per-circuit times at --jobs 1: the work metric comparable
     # with pre-parallelism PRs (their total_seconds).
     "total_seconds": round(serial_total, 3),

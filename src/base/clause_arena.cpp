@@ -1,6 +1,5 @@
 #include "base/clause_arena.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace gdf::base {
@@ -21,84 +20,6 @@ void ClauseArena::scale_activities(double factor) {
   for (double& a : activity_) {
     a *= factor;
   }
-}
-
-namespace {
-
-std::size_t clause_bytes(const SharedClause& clause) {
-  return clause.lits.size() * sizeof(ClauseLit) +
-         clause.footprint.size() * sizeof(alg::NodeId);
-}
-
-}  // namespace
-
-void ClauseStore::publish(SharedClause clause) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Copy-on-write append: readers keep whatever snapshot they grabbed.
-  auto next = clauses_ ? std::make_shared<std::vector<SharedClause>>(*clauses_)
-                       : std::make_shared<std::vector<SharedClause>>();
-  bytes_ += clause_bytes(clause);
-  next->push_back(std::move(clause));
-  if (next->size() > capacity_) {
-    // Tiered reduction, mirroring the per-fault database: core clauses
-    // (LBD≤2) are untouchable, the rest are ranked by LBD ascending with
-    // newer clauses winning ties (they reflect the current search
-    // frontier). Original publish order is preserved among survivors so
-    // consumers see a stable prefix.
-    std::vector<std::size_t> rest;
-    std::size_t core = 0;
-    for (std::size_t i = 0; i < next->size(); ++i) {
-      if (ClauseArena::tier_of((*next)[i].lbd) == ClauseTier::Core) {
-        ++core;
-      } else {
-        rest.push_back(i);
-      }
-    }
-    const std::size_t keep_rest = capacity_ > core ? capacity_ - core : 0;
-    std::stable_sort(rest.begin(), rest.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       if ((*next)[a].lbd != (*next)[b].lbd) {
-                         return (*next)[a].lbd < (*next)[b].lbd;
-                       }
-                       return a > b;  // newer first on equal quality
-                     });
-    rest.resize(std::min(rest.size(), keep_rest));
-    std::vector<std::uint8_t> keep(next->size(), 0);
-    for (std::size_t i = 0; i < next->size(); ++i) {
-      if (ClauseArena::tier_of((*next)[i].lbd) == ClauseTier::Core) {
-        keep[i] = 1;
-      }
-    }
-    for (const std::size_t i : rest) {
-      keep[i] = 1;
-    }
-    auto reduced = std::make_shared<std::vector<SharedClause>>();
-    reduced->reserve(capacity_);
-    bytes_ = 0;
-    for (std::size_t i = 0; i < next->size(); ++i) {
-      if (keep[i]) {
-        bytes_ += clause_bytes((*next)[i]);
-        reduced->push_back(std::move((*next)[i]));
-      }
-    }
-    next = std::move(reduced);
-  }
-  clauses_ = std::move(next);
-}
-
-ClauseStore::Snapshot ClauseStore::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return clauses_;
-}
-
-std::size_t ClauseStore::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return clauses_ ? clauses_->size() : 0;
-}
-
-std::size_t ClauseStore::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
 }
 
 }  // namespace gdf::base

@@ -1,5 +1,5 @@
 // Flat arena for learned blocking implicates ("clauses") over value-set
-// literals, plus the context-keyed store for fault-independent clauses.
+// literals.
 //
 // A clause is a nogood: a conjunction of containment facts
 //   sets[node_i] ⊆ allowed_i   for every literal i
@@ -21,14 +21,11 @@
 // ranks the rest by (LBD, activity) — see ImplicationEngine::reduce.
 //
 // The arena is a flat pool (literals back to back, offset-indexed
-// headers) so a search's clause set stays cache-dense and is cheap to
-// copy into a re-entry search over the same fault.
+// headers) so a search's clause set stays cache-dense.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -50,8 +47,7 @@ struct ClauseLit {
 enum class ClauseTier : std::uint8_t { Core, Mid, Local };
 
 /// Flat clause pool. Clauses are append-only between reductions; an index
-/// identifies a clause for the watch lists. Copyable (re-entry searches
-/// seed from the base search's arena).
+/// identifies a clause for the watch lists.
 class ClauseArena {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -93,51 +89,6 @@ class ClauseArena {
   std::vector<std::size_t> offsets_ = {0};
   std::vector<std::uint32_t> lbd_;
   std::vector<double> activity_;
-};
-
-/// A clause proven without reference to any fault site: literals are its
-/// complete leaf facts, `footprint` every node whose implication rule the
-/// derivation ran through (sorted). A consumer fault may use the clause
-/// only when its own site is outside the footprint — at the site the gate
-/// rule is replaced by the fault transform, invalidating the derivation.
-struct SharedClause {
-  std::vector<ClauseLit> lits;
-  std::vector<alg::NodeId> footprint;
-  /// LBD at learn time in the publishing search — the store's eviction
-  /// quality signal (the consumer re-picks watches anyway).
-  std::uint32_t lbd = 0;
-};
-
-/// Cross-fault clause store, keyed on the shared CircuitContext (one per
-/// algebra mode). Thread-safe: publishers append under the mutex,
-/// consumers grab an immutable snapshot. Which snapshot a consumer sees
-/// depends on scheduling, so consumption is opt-in (--learn shared) and
-/// documented as trading byte-stability across worker counts for speed.
-///
-/// Growth is bounded: the store accounts its clause and byte totals and,
-/// at the capacity, runs the same tiered reduction as the per-fault
-/// database — LBD≤2 core clauses are kept unconditionally, the rest
-/// compete by (LBD ascending, newest first) for the remaining slots.
-class ClauseStore {
- public:
-  using Snapshot = std::shared_ptr<const std::vector<SharedClause>>;
-
-  explicit ClauseStore(std::size_t capacity = 4096) : capacity_(capacity) {}
-
-  void publish(SharedClause clause);
-  /// The current clause set (possibly null when nothing was published).
-  Snapshot snapshot() const;
-  std::size_t size() const;
-  /// Payload bytes of the stored clauses (literals + footprints) — what
-  /// --stages reports as clause_store_bytes.
-  std::size_t bytes() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  Snapshot clauses_;
-  std::size_t bytes_ = 0;
 };
 
 }  // namespace gdf::base

@@ -1,7 +1,6 @@
 #include "cli/args.hpp"
 
 #include <charconv>
-#include <sstream>
 
 #include "base/error.hpp"
 #include "base/string_util.hpp"
@@ -25,16 +24,6 @@ int parse_int(const std::string& flag, const std::string& text) {
   const std::uint64_t value = parse_u64(flag, text);
   check(value <= 1000000000ULL, flag + " value out of range: " + text);
   return static_cast<int>(value);
-}
-
-double parse_seconds(const std::string& flag, const std::string& text) {
-  std::istringstream is(text);
-  double value = 0.0;
-  is >> value;
-  check(static_cast<bool>(is) && is.eof() && value >= 0.0,
-        flag + " expects a non-negative number of seconds, got '" + text +
-            "'");
-  return value;
 }
 
 /// Splits a comma-separated axis value; rejects empty entries.
@@ -119,11 +108,8 @@ DriverConfig parse_args(int argc, const char* const* argv) {
         config.atpg.learn = core::LearnMode::On;
       } else if (mode == "off") {
         config.atpg.learn = core::LearnMode::Off;
-      } else if (mode == "shared") {
-        config.atpg.learn = core::LearnMode::Shared;
       } else {
-        throw Error("--learn expects 'on', 'off' or 'shared', got '" + mode +
-                    "'");
+        throw Error("--learn expects 'on' or 'off', got '" + mode + "'");
       }
     } else if (arg == "--learned-limit") {
       config.atpg.learned_limit = parse_int(arg, value_of(i, arg));
@@ -140,8 +126,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       const int base = parse_int(arg, value_of(i, arg));
       check(base > 0, "--restart-base expects a positive conflict count");
       config.atpg.local.restart_base = base;
-    } else if (arg == "--per-fault-seconds") {
-      config.atpg.per_fault_seconds = parse_seconds(arg, value_of(i, arg));
     } else if (arg == "--fault-budget") {
       const int budget = parse_int(arg, value_of(i, arg));
       check(budget > 0, "--fault-budget expects a positive assignment count");
@@ -167,10 +151,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       }
     } else if (arg == "--lanes") {
       config.atpg.lanes = sim::parse_lanes(value_of(i, arg));
-    } else if (arg == "--adi-sequences") {
-      const int n = parse_int(arg, value_of(i, arg));
-      check(n > 0, "--adi-sequences expects a positive sequence count");
-      config.atpg.adi_sequences = n;
     } else if (arg == "--no-fault-dropping") {
       config.atpg.fault_dropping = false;
     } else if (arg == "--no-branch-faults") {
@@ -309,9 +289,6 @@ std::string usage() {
       "      --local-backtracks N   TDgen abort limit        [100]\n"
       "      --seq-backtracks N     SEMILET abort limit      [100]\n"
       "      --decision-limit N     safety net, both engines [200000]\n"
-      "      --per-fault-seconds S  wall-clock cap per fault [off]\n"
-      "                          (timing-dependent: disables automatic\n"
-      "                          fault sharding; prefer --fault-budget)\n"
       "      --fault-budget N    deterministic work cap per fault, counted\n"
       "                          in implication-engine assignments: the\n"
       "                          fault aborts once the search spends N\n"
@@ -321,11 +298,8 @@ std::string usage() {
       "                          search: 'on' (per-fault clause learning +\n"
       "                          non-chronological backjumping + probe\n"
       "                          memo, deterministic at any worker count,\n"
-      "                          default), 'off' (chronological search,\n"
-      "                          pre-learning bytes), or 'shared' (also\n"
-      "                          exchange fault-independent clauses across\n"
-      "                          faults; fastest, but rows may differ\n"
-      "                          across --jobs/--shard-faults)\n"
+      "                          default) or 'off' (chronological search,\n"
+      "                          pre-learning bytes)\n"
       "      --learned-limit N   clause-database budget per fault; past it\n"
       "                          a tiered reduction keeps LBD<=2 clauses\n"
       "                          and the best of the rest [512]\n"
@@ -345,8 +319,6 @@ std::string usage() {
       "                          (probe the CPU vector width, default),\n"
       "                          '64', '256' or '512'; results are\n"
       "                          byte-identical for every width\n"
-      "      --adi-sequences N   sampling budget of the 'adi' fault\n"
-      "                          ordering pass (random sequences) [8]\n"
       "\n"
       "robust execution:\n"
       "      --on-error POLICY   what a failing cell does: 'abort' (fail\n"

@@ -20,7 +20,6 @@
 
 #include "algebra/model.hpp"
 #include "algebra/tables.hpp"
-#include "base/clause_arena.hpp"
 #include "core/options.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/flat_circuit.hpp"
@@ -70,14 +69,6 @@ class CircuitContext {
   /// stays immutable.
   std::unique_ptr<sim::SimBackend> make_sim_backend(sim::LaneSpec spec) const;
 
-  /// The cross-fault learned-clause store for --learn shared, one per
-  /// algebra mode (a clause's validity rests on the mode's implication
-  /// tables). Internally synchronized — the structural context stays
-  /// logically immutable; this is a cache of derived facts about it.
-  base::ClauseStore& learned_clauses(alg::Mode mode) const {
-    return mode == alg::Mode::Robust ? robust_clauses_ : nonrobust_clauses_;
-  }
-
   CircuitContext(const CircuitContext&) = delete;
   CircuitContext& operator=(const CircuitContext&) = delete;
 
@@ -90,8 +81,6 @@ class CircuitContext {
   mutable std::once_flag nonrobust_once_;
   mutable std::shared_ptr<const alg::DelayAlgebra> robust_algebra_;
   mutable std::shared_ptr<const alg::DelayAlgebra> nonrobust_algebra_;
-  mutable base::ClauseStore robust_clauses_;
-  mutable base::ClauseStore nonrobust_clauses_;
   net::Netlist nl_;
   alg::AtpgModel model_;  ///< holds a pointer to nl_: address-stable here
   std::shared_ptr<const sim::FlatCircuit> flat_;

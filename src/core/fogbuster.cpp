@@ -72,7 +72,6 @@ void StageStats::add(const StageStats& other) {
   dropped += other.dropped;
   aborted_local += other.aborted_local;
   aborted_sequential += other.aborted_sequential;
-  aborted_time += other.aborted_time;
   aborted_budget += other.aborted_budget;
   search.add(other.search);
   sim.add(other.sim);
@@ -200,19 +199,10 @@ bool Fogbuster::try_finalize(const DelayFault& fault, const LocalTest& local,
 FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
                                           TestSequence* out,
                                           StageStats* stages) const {
-  const Stopwatch watch;
   const auto check_cancel = [&] {
     if (cancel_requested(options_.cancel)) {
       throw_cancelled();
     }
-  };
-  const auto out_of_time = [&] {
-    return options_.per_fault_seconds > 0.0 &&
-           watch.seconds() > options_.per_fault_seconds;
-  };
-  const auto abort_time = [&] {
-    ++stages->aborted_time;
-    return FaultStatus::Aborted;
   };
   const auto abort_sequential = [&] {
     ++stages->aborted_sequential;
@@ -252,25 +242,12 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
   local_options.work_budget =
       options_.fault_budget > 0 ? &work_budget : nullptr;
   local_options.cancel = options_.cancel;
-  if (options_.learn == LearnMode::Shared) {
-    // Cross-fault clause exchange through the shared context (opt-in:
-    // which snapshot a fault sees depends on scheduling), and
-    // cheapest-cone-first don't-care lifting (opt-in: the reorder drifts
-    // the emitted patterns).
-    base::ClauseStore& store = ctx_->learned_clauses(options_.mode);
-    local_options.shared_consume = &store;
-    local_options.shared_publish = &store;
-    local_options.reorder_lifts = true;
-  }
   tdgen::TdgenSearch local_search(ctx_->model(), *algebra_, fault,
                                   local_options);
   LocalTest local;
 
   for (;;) {
     check_cancel();
-    if (out_of_time()) {
-      return abort_time();
-    }
     switch (local_search.next(&local)) {
       case tdgen::TdgenStatus::Untestable:
         return FaultStatus::Untestable;
@@ -328,9 +305,6 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
     semilet::PropagationOutcome outcome;
     for (;;) {
       check_cancel();
-      if (out_of_time()) {
-        return abort_time();
-      }
       ++stages->prop_attempts;
       const semilet::SeqStatus pstatus = propagator.next(&outcome);
       if (pstatus == semilet::SeqStatus::Aborted) {
@@ -363,13 +337,10 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         // search's clauses would stay valid under the pins (they only
         // narrow the level-0 state), but importing them measures as a net
         // cost — re-entry trees are short and rarely revisit the base
-        // search's conflicts — so re-entries learn from scratch. They
-        // never publish to the shared store: their conflicts are
-        // conditioned on the pins.
+        // search's conflicts — so re-entries learn from scratch.
         tdgen::TdgenOptions reentry_options = local_options;
         reentry_options.shared_cone = &local_search.sorted_cone();
         reentry_options.init_donor = &local_search.engine();
-        reentry_options.shared_publish = nullptr;
         tdgen::TdgenSearch reentry(ctx_->model(), *algebra_, fault,
                                    reentry_options);
         for (std::size_t k = 0; k < n_ff; ++k) {
@@ -555,15 +526,7 @@ FogbusterResult Fogbuster::run(std::span<const std::size_t> target_order) {
     merge_targeted(i, memoized, status, sequence, stages, &result);
   }
   result.seconds = watch.seconds();
-  result.stages.clause_store_bytes = shared_clause_bytes();
   return result;
-}
-
-long Fogbuster::shared_clause_bytes() const {
-  if (options_.learn != LearnMode::Shared) {
-    return 0;
-  }
-  return static_cast<long>(ctx_->learned_clauses(options_.mode).bytes());
 }
 
 }  // namespace gdf::core

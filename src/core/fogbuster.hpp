@@ -59,7 +59,6 @@ struct StageStats {
   long dropped = 0;            ///< faults covered by fault simulation
   long aborted_local = 0;      ///< gave up in the local (TDgen) search
   long aborted_sequential = 0; ///< gave up in propagation/justification/sync
-  long aborted_time = 0;       ///< per-fault wall-clock cap hit
   long aborted_budget = 0;     ///< per-fault work budget exhausted
 
   // Search-core counters: the incremental engine's work, so speedups on
@@ -73,17 +72,9 @@ struct StageStats {
   // kernel the fault-simulation time went to (--stages prints them).
   sim::KernelCounters sim;
 
-  /// End-of-run payload bytes of the cross-fault clause store (--learn
-  /// shared; 0 otherwise). A point-in-time gauge of the shared context,
-  /// not a per-fault tally — add() deliberately skips it, and the run
-  /// drivers (sequential and sharded) assign it once after the last
-  /// fault so both report the identical figure.
-  long clause_store_bytes = 0;
-
   /// Accumulates another run's (or fault's) counters into this one.
   /// Addition is commutative, so merging per-fault slices in any order
-  /// gives the totals of a sequential pass. clause_store_bytes is a
-  /// gauge, not a counter — it is excluded.
+  /// gives the totals of a sequential pass.
   void add(const StageStats& other);
 };
 
@@ -189,11 +180,6 @@ class Fogbuster {
   /// only faster. Pass nullptr to clear.
   void set_untestable_memo(std::shared_ptr<const std::vector<bool>> memo);
   const std::vector<bool>* untestable_memo() const { return memo_.get(); }
-
-  /// Current payload bytes of the context's cross-fault clause store for
-  /// this configuration — what StageStats::clause_store_bytes reports.
-  /// 0 unless --learn shared is active.
-  long shared_clause_bytes() const;
 
  private:
   bool try_finalize(const tdgen::DelayFault& fault,

@@ -15,16 +15,10 @@ namespace gdf::core {
 /// Phase-3 delay fault simulation engine (see tdsim/tdsim.hpp).
 enum class TdsimEngine : std::uint8_t { Cpt, Exact };
 
-/// Conflict-driven learning in the two-frame search (--learn).
-///
-/// On (default) keeps every learned clause private to its fault, which
-/// preserves byte-determinism at any worker count: each per-fault search
-/// stays a pure function of (context, fault, options). Shared additionally
-/// consumes fault-independent clauses published by other faults through
-/// the CircuitContext — faster on abort-heavy circuits, but the snapshot a
-/// fault sees depends on scheduling, so rows may legitimately differ
-/// across --jobs/--shard-faults (same caveat as --per-fault-seconds).
-enum class LearnMode : std::uint8_t { Off, On, Shared };
+/// Conflict-driven learning in the two-frame search (--learn). On (the
+/// default) keeps every learned clause private to its fault, so each
+/// per-fault search stays a pure function of (context, fault, options).
+enum class LearnMode : std::uint8_t { Off, On };
 
 struct AtpgOptions {
   /// Robust (paper) or non-robust (§7 outlook / ablation) algebra.
@@ -59,17 +53,11 @@ struct AtpgOptions {
   /// enters the structural compatibility predicate or the sweep memo keys.
   sim::LaneSpec lanes;
 
-  /// Random-sequence budget of the accidental-detection-index fault
-  /// ordering pass (--fault-order adi): how many sampling sequences the
-  /// batched TDsim simulates to rank the faults. More sequences sharpen
-  /// the ranking at a linear cost in ordering time.
-  int adi_sequences = 8;
-
   /// Conflict-driven learning mode for the two-frame search. Off
   /// reproduces the pre-learning search byte-for-byte (chronological
-  /// backtracking, no clause database, no probe memo); On and Shared are
-  /// documented on LearnMode. Enters the sweep memo keys: different learn
-  /// settings never share untestable-fault memo groups.
+  /// backtracking, no clause database, no probe memo); On is documented
+  /// on LearnMode. Enters the sweep memo keys: different learn settings
+  /// never share untestable-fault memo groups.
   LearnMode learn = LearnMode::On;
 
   /// Cap on learned clauses per fault search (--learned-limit).
@@ -78,18 +66,11 @@ struct AtpgOptions {
   /// Seed for the random X-fill performed before fault simulation.
   std::uint64_t fill_seed = 1995;
 
-  /// Optional wall-clock cap per targeted fault in seconds (0 = none);
-  /// counts toward the aborted column when hit. Verdicts become
-  /// timing-dependent, so auto fault sharding and the sweep's untestable
-  /// memo decline to engage — prefer fault_budget for deterministic caps.
-  double per_fault_seconds = 0.0;
-
   /// Deterministic per-fault work budget (--fault-budget, 0 = none),
   /// counted in implication-engine assignments and shared by the local
-  /// search and its re-entries (see tdgen::WorkBudget). Unlike
-  /// per_fault_seconds the abort point is a pure function of the fault,
-  /// so rows stay byte-identical across --jobs and --shard-faults and
-  /// sharding stays enabled. Exceeding it counts toward the aborted
+  /// search and its re-entries (see tdgen::WorkBudget). The abort point is
+  /// a pure function of the fault, so rows stay byte-identical across
+  /// --jobs and --shard-faults. Exceeding it counts toward the aborted
   /// column (StageStats::aborted_budget attributes it).
   long fault_budget = 0;
 

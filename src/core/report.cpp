@@ -57,8 +57,8 @@ std::string format_stage_stats(const StageStats& s) {
      << "  verify rejections      " << s.verify_rejections << "\n"
      << "  dropped by fault sim   " << s.dropped << "\n"
      << "  aborts                 local " << s.aborted_local
-     << ", sequential " << s.aborted_sequential << ", time "
-     << s.aborted_time << ", budget " << s.aborted_budget << "\n"
+     << ", sequential " << s.aborted_sequential << ", budget "
+     << s.aborted_budget << "\n"
      << "  search core            implications "
      << s.search.implication_assigns << ", trail pushes "
      << s.search.trail_pushes << ", pops " << s.search.trail_pops << "\n"
@@ -73,7 +73,6 @@ std::string format_stage_stats(const StageStats& s) {
      << ", mid " << s.search.clause_db_mid << ", local "
      << s.search.clause_db_local << "; LBD<=2 " << s.search.lbd_le2
      << ", 3-6 " << s.search.lbd_3_6 << ", >6 " << s.search.lbd_gt6 << "\n"
-     << "  shared clause store    " << s.clause_store_bytes << " bytes\n"
      << "  verification probes    " << s.search.probe_runs
      << " (cone-scoped " << s.search.probe_cone << ", full "
      << s.search.probe_full << ")\n"

@@ -68,8 +68,8 @@ std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout) {
        << (o.fault_sites.include_branches ? "full" : "stems") << '|'
        << static_cast<int>(o.learn) << '|' << o.learned_limit << '|'
        << static_cast<int>(o.local.restarts) << '|' << o.local.restart_base
-       << '|' << o.per_fault_seconds << '|' << o.fault_budget << '|'
-       << static_cast<int>(o.tdsim_engine) << '|' << o.adi_sequences << '\n';
+       << '|' << o.fault_budget << '|' << static_cast<int>(o.tdsim_engine)
+       << '\n';
   }
   return fnv1a64(os.str());
 }

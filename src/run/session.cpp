@@ -30,8 +30,8 @@ core::FogbusterResult AtpgSession::run(ThreadPool& pool,
     target_order_ = make_fault_order(*ctx_, order_, options_);
     order_ready_ = true;
   }
-  const unsigned workers = shard_workers(
-      shard, pool, ctx_->faults().size(), options_.per_fault_seconds);
+  const unsigned workers =
+      shard_workers(shard, pool, ctx_->faults().size());
   if (workers <= 1) {
     return flow_.run(target_order_);
   }

@@ -1,13 +1,11 @@
 #include "run/shard.hpp"
 
-#include <atomic>
 #include <charconv>
 #include <exception>
 #include <utility>
 #include <vector>
 
 #include "base/error.hpp"
-#include "base/logger.hpp"
 #include "base/timer.hpp"
 
 namespace gdf::run {
@@ -47,7 +45,7 @@ std::string shard_faults_name(const ShardConfig& config) {
 }
 
 unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
-                       std::size_t fault_count, double per_fault_seconds) {
+                       std::size_t fault_count) {
   switch (config.policy) {
     case ShardConfig::Policy::Off:
       return 0;
@@ -60,27 +58,8 @@ unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
       }
       return config.workers;
     case ShardConfig::Policy::Auto:
-      // Sharding never changes the bytes, but with a per-fault wall-clock
-      // cap the verdicts are timing-dependent either way — don't let the
-      // default policy add scheduling noise to such runs. Small circuits
-      // pay more in barriers than they gain; a one-thread pool gains
-      // nothing at all. (--fault-budget deliberately does NOT gate here:
-      // its abort point is a pure function of the fault, so budgeted runs
-      // keep sharding.)
-      if (per_fault_seconds > 0.0) {
-        if (fault_count >= config.min_faults && pool.thread_count() > 1) {
-          // The cap silently costs the parallelism the run would have
-          // had; say so once, and name the deterministic alternative.
-          static std::atomic<bool> warned{false};
-          if (!warned.exchange(true)) {
-            GDF_WARN << "--per-fault-seconds disables automatic fault "
-                        "sharding (wall-clock verdicts are timing-"
-                        "dependent); use the deterministic --fault-budget "
-                        "to cap per-fault work and keep sharding";
-          }
-        }
-        return 0;
-      }
+      // Small circuits pay more in barriers than they gain; a one-thread
+      // pool gains nothing at all.
       if (fault_count < config.min_faults || pool.thread_count() <= 1) {
         return 0;
       }
@@ -192,7 +171,6 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
     }
   }
   result.seconds = watch.seconds();
-  result.stages.clause_store_bytes = flow.shared_clause_bytes();
   return result;
 }
 

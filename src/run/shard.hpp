@@ -29,11 +29,6 @@
 // faults dropped by an epoch-mate (bounded by the epoch size; untestable
 // and aborted verdicts are never wasted — those faults are never
 // dropped). The determinism ctests assert the equality end to end.
-//
-// One caveat: a per-fault wall-clock cap (--per-fault-seconds) makes
-// verdicts timing-dependent, sequentially and sharded alike; Auto
-// declines to shard such runs so the default configurations stay
-// byte-stable.
 #pragma once
 
 #include <cstddef>
@@ -74,7 +69,7 @@ std::string shard_faults_name(const ShardConfig& config);
 /// Generation parallelism the config yields for a run with `fault_count`
 /// faults on `pool`: 0 = do not shard (run sequentially).
 unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
-                       std::size_t fault_count, double per_fault_seconds);
+                       std::size_t fault_count);
 
 /// The epoch size actually used (config override or the worker-scaled
 /// default).

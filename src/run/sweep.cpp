@@ -117,11 +117,9 @@ struct GenerationKey {
   int seq_prop_frames;
   int seq_sync_frames;
   long seq_decisions;
-  double per_fault_seconds;
   long fault_budget;
-  // Learning changes which faults abort (and under --learn shared even
-  // the verdict bytes), so cells with different learn settings must not
-  // share an untestable memo.
+  // Learning changes which faults abort, so cells with different learn
+  // settings must not share an untestable memo.
   core::LearnMode learn;
   int learned_limit;
   tdgen::RestartPolicy restarts;
@@ -136,7 +134,6 @@ struct GenerationKey {
         seq_prop_frames(o.sequential.max_propagation_frames),
         seq_sync_frames(o.sequential.max_sync_frames),
         seq_decisions(o.sequential.decision_limit),
-        per_fault_seconds(o.per_fault_seconds),
         fault_budget(o.fault_budget),
         learn(o.learn),
         learned_limit(o.learned_limit),
@@ -382,15 +379,12 @@ SweepStats run_sweep(const SweepSpec& spec,
   // classify every fault identically, so all but the first redo pure
   // re-derivation. Group them; the producer (canonically first member)
   // publishes its untestable set after its cell completes, the consumers
-  // start only then. A per-fault wall-clock cap makes verdicts
-  // timing-dependent — no groups form for such specs. Journaled/resumed
-  // runs disable groups too (spec.disable_memo / resume_done): a replayed
-  // producer has no verdict set to publish, and replayed bytes must not
-  // depend on memo state.
+  // start only then. Journaled/resumed runs disable groups
+  // (spec.disable_memo / resume_done): a replayed producer has no verdict
+  // set to publish, and replayed bytes must not depend on memo state.
   std::vector<std::unique_ptr<MemoGroup>> groups;
   std::vector<MemoGroup*> group_of(jobs.size(), nullptr);
-  if (spec.base.per_fault_seconds <= 0.0 && !spec.disable_memo &&
-      spec.resume_done.empty()) {
+  if (!spec.disable_memo && spec.resume_done.empty()) {
     std::vector<std::pair<GenerationKey, MemoGroup*>> keyed;
     for (std::size_t slot = 0; slot < slots.size(); ++slot) {
       keyed.clear();
@@ -480,8 +474,7 @@ SweepStats run_sweep(const SweepSpec& spec,
     bool shardable = false;
     if (spec.shard.policy == ShardConfig::Policy::Forced) {
       shardable = spec.shard.workers > 1;
-    } else if (spec.shard.policy == ShardConfig::Policy::Auto &&
-               spec.base.per_fault_seconds <= 0.0) {
+    } else if (spec.shard.policy == ShardConfig::Policy::Auto) {
       for (const auto& slot : slots) {
         if (8 * slot->nl.size() >= spec.shard.min_faults) {
           shardable = true;

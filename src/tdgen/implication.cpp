@@ -126,7 +126,6 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
   site_chain_ = donor.site_chain_;
-  in_cone_ = donor.in_cone_;
   init_sets_ = donor.init_sets_;
   init_conflict_ = donor.init_conflict_;
   init_ready_ = true;
@@ -292,12 +291,6 @@ std::size_t ImplicationEngine::add_clause(std::span<const base::ClauseLit> lits,
   }
   watching_ = true;
   return index;
-}
-
-void ImplicationEngine::import_clauses(const base::ClauseArena& src) {
-  for (std::size_t c = 0; c < src.size(); ++c) {
-    add_clause(src.lits(c), src.lbd(c));
-  }
 }
 
 std::size_t ImplicationEngine::reduce_clauses(std::size_t keep_target) {
@@ -559,11 +552,10 @@ bool ImplicationEngine::process(NodeId id, std::uint8_t pend) {
   return true;
 }
 
-bool ImplicationEngine::analyze(Analysis* out, SharedExtract* shared) {
+bool ImplicationEngine::analyze(Analysis* out) {
   out->lits.clear();
   out->levels.clear();
   out->lit_levels.clear();
-  out->cone_clean = false;
   if (!conflict_ || level_marks_.empty()) {
     return false;
   }
@@ -571,16 +563,12 @@ bool ImplicationEngine::analyze(Analysis* out, SharedExtract* shared) {
   ++analysis_epoch_;
   const std::uint64_t epoch = analysis_epoch_;
   marked_nodes_.clear();
-  bool cone_clean = true;
   const auto mark = [&](NodeId n) {
     if (n == kNoNode || mark_epoch_[n] == epoch) {
       return;
     }
     mark_epoch_[n] = epoch;
     marked_nodes_.push_back(n);
-    if (in_cone_[n]) {
-      cone_clean = false;
-    }
   };
   // Replace a narrowing by the facts its rule read. The narrowed node
   // itself stays marked: its earlier entries (and ultimately its init
@@ -665,38 +653,6 @@ bool ImplicationEngine::analyze(Analysis* out, SharedExtract* shared) {
   }
   out->lits.resize(w);
 
-  if (shared != nullptr) {
-    // Continue through the level-0 segment so the derivation bottoms out
-    // at explicit leaf facts instead of this fault's implicit level-0
-    // state. Level-0 externals (activation, pins, required observation)
-    // become leaf literals — in practice they sit in the cone and veto
-    // sharing via cone_clean.
-    shared->leaf_lits.clear();
-    shared->footprint.clear();
-    for (std::size_t i = stop; i-- > 0;) {
-      const TrailEntry& e = trail_[i];
-      if (mark_epoch_[e.node] != epoch) {
-        continue;
-      }
-      if (e.why == Why::External) {
-        shared->leaf_lits.push_back({e.node, static_cast<VSet>(e.reason)});
-      } else {
-        resolve_rule(e);
-      }
-    }
-    // Base facts: every marked node's direct init value. Sources start at
-    // kPrimaryDomain for every fault (primary values carry no hazard) —
-    // universal, no literal needed. Everything else outside the cone
-    // initializes to kCleanSet, which a consumer whose cone covers the
-    // node does not guarantee — so it must be checked as a literal.
-    for (const NodeId n : marked_nodes_) {
-      if (!model_->node(n).source()) {
-        shared->leaf_lits.push_back({n, kCleanSet});
-      }
-    }
-    shared->footprint = marked_nodes_;
-    std::sort(shared->footprint.begin(), shared->footprint.end());
-  }
   // EVSIDS bump: every node on the conflict side (marked during the walk)
   // gains the current increment, then the increment grows — a geometric
   // decay of all other activities without touching them. Purely per-fault
@@ -712,7 +668,6 @@ bool ImplicationEngine::analyze(Analysis* out, SharedExtract* shared) {
     }
     act_inc_ *= 1e-100;
   }
-  out->cone_clean = cone_clean;
   return !out->lits.empty();
 }
 

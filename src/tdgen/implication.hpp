@@ -62,17 +62,6 @@ struct Analysis {
   /// involved iff some surviving node has an entry there. levels.size()
   /// of the surviving set is the clause's LBD.
   std::vector<std::pair<alg::NodeId, std::uint32_t>> lit_levels;
-  /// True when the derivation never touched the fault cone or the site
-  /// transform — a candidate for cross-fault sharing.
-  bool cone_clean = false;
-};
-
-/// Deep-walk extension of an Analysis down through the level-0 trail:
-/// complete leaf facts plus the rule footprint, i.e. everything a
-/// different fault needs to validate the clause (see base::SharedClause).
-struct SharedExtract {
-  std::vector<base::ClauseLit> leaf_lits;
-  std::vector<alg::NodeId> footprint;  ///< sorted, every marked node
 };
 
 /// True when GDF_FULL_FIXPOINT=1 asks for the exhaustive debug schedule.
@@ -160,11 +149,9 @@ class ImplicationEngine {
 
   /// Resolves the current conflict into decision literals. Requires
   /// conflict() and at least one open decision level, with the trail still
-  /// intact (call before any rollback). When `shared` is non-null the walk
-  /// continues through the level-0 trail to extract the complete leaf facts
-  /// and rule footprint needed for cross-fault reuse (only meaningful when
-  /// out->cone_clean holds). Returns false when there is nothing to analyze.
-  bool analyze(Analysis* out, SharedExtract* shared = nullptr);
+  /// intact (call before any rollback). Returns false when there is nothing
+  /// to analyze.
+  bool analyze(Analysis* out);
 
   /// Adds a nogood clause stamped with its LBD and wires it into the watch
   /// lists at the current state. Returns the clause index, or
@@ -174,11 +161,8 @@ class ImplicationEngine {
   std::size_t add_clause(std::span<const base::ClauseLit> lits,
                          std::uint32_t lbd = 0);
 
-  /// The clauses learned so far — copy into a sibling search over the same
-  /// fault via import_clauses (pins only narrow the sibling's level-0 state,
-  /// so every clause stays valid there).
+  /// The clauses learned so far.
   const base::ClauseArena& clauses() const { return arena_; }
-  void import_clauses(const base::ClauseArena& src);
 
   /// Tiered clause-database reduction (call only at a conflict-free
   /// fixpoint, e.g. right after a backjump): keeps every core clause
@@ -277,8 +261,7 @@ class ImplicationEngine {
   std::vector<std::uint8_t> pending_;
   /// The fault site's dominator chain toward the observation sinks.
   std::vector<alg::NodeId> site_chain_;
-  /// Membership in the fault cone (shared with init) — analysis uses it to
-  /// decide whether a derivation is fault-independent.
+  /// Membership in the fault cone — init() scratch.
   std::vector<std::uint8_t> in_cone_;
   bool conflict_ = false;
   /// What tripped the conflict: the emptied node, or the fired clause.

@@ -131,7 +131,6 @@ bool TdgenSearch::start() {
   if (!apply_root_constraints(&engine_)) {
     return false;
   }
-  import_shared_clauses();
   if (options_.learn && options_.restarts == RestartPolicy::Luby) {
     restart_threshold_ = static_cast<long>(options_.restart_base) * luby(0);
   }
@@ -162,29 +161,6 @@ bool TdgenSearch::maybe_restart() {
     return true;
   }
   return restart();
-}
-
-void TdgenSearch::import_shared_clauses() {
-  if (!options_.learn) {
-    return;
-  }
-  if (options_.seed_clauses != nullptr) {
-    engine_.import_clauses(*options_.seed_clauses);
-  }
-  if (options_.shared_consume != nullptr) {
-    const base::ClauseStore::Snapshot snap =
-        options_.shared_consume->snapshot();
-    if (snap != nullptr) {
-      for (const base::SharedClause& clause : *snap) {
-        // A clause whose derivation ran a rule at this fault's site is not
-        // valid here — the site rule is replaced by the fault transform.
-        if (!std::binary_search(clause.footprint.begin(),
-                                clause.footprint.end(), spec_.site)) {
-          engine_.add_clause(clause.lits);
-        }
-      }
-    }
-  }
 }
 
 bool TdgenSearch::carrier_possible_at_observation() const {
@@ -408,13 +384,8 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
   // needs; try to widen every specified state bit and PI back toward X
   // while the observation stays guaranteed. This keeps the required
   // initial state small (synchronizable) and the handed-over PPO values
-  // few — the paper's TDgen leaves exactly such X values behind. Under
-  // --learn shared the sources are tried cheapest fanout cone first
-  // (reorder_lifts); the reorder changes which of two interacting lifts
-  // sticks, so the byte-stable modes keep index order.
-  prepare_lift_order();
-  for (std::size_t j = 0; j < ppi_inits.size(); ++j) {
-    const std::size_t k = options_.reorder_lifts ? lift_order_ppi_[j] : j;
+  // few — the paper's TDgen leaves exactly such X values behind.
+  for (std::size_t k = 0; k < ppi_inits.size(); ++k) {
     if (ppi_inits[k] == 0b11u) {
       continue;
     }
@@ -427,8 +398,7 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
       ppi_inits[k] = saved;
     }
   }
-  for (std::size_t j = 0; j < pi_sets.size(); ++j) {
-    const std::size_t i = options_.reorder_lifts ? lift_order_pi_[j] : j;
+  for (std::size_t i = 0; i < pi_sets.size(); ++i) {
     const VSet wide = model_->pis()[i] == spec_.site
                           ? pi_sets[i]
                           : alg::kPrimaryDomain;
@@ -582,33 +552,6 @@ bool TdgenSearch::choose_decision() {
   return push_decision(best, try_set);
 }
 
-void TdgenSearch::prepare_lift_order() {
-  if (!options_.reorder_lifts || lift_order_ready_) {
-    return;
-  }
-  lift_order_ready_ = true;
-  const auto order_by_cone = [this](std::span<const NodeId> sources,
-                                    std::vector<std::size_t>* order) {
-    std::vector<std::size_t> cone_sizes(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      cone_sizes[i] = model_->carrier_cone(sources[i]).size();
-    }
-    order->resize(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      (*order)[i] = i;
-    }
-    std::sort(order->begin(), order->end(),
-              [&cone_sizes](std::size_t a, std::size_t b) {
-                if (cone_sizes[a] != cone_sizes[b]) {
-                  return cone_sizes[a] < cone_sizes[b];
-                }
-                return a < b;
-              });
-  };
-  order_by_cone(model_->ppis(), &lift_order_ppi_);
-  order_by_cone(model_->pis(), &lift_order_pi_);
-}
-
 bool TdgenSearch::backtrack(const std::vector<std::uint8_t>* involved) {
   ++backtracks_;
   if (backtracks_ > options_.backtrack_limit) {
@@ -693,49 +636,8 @@ bool TdgenSearch::backtrack(const std::vector<std::uint8_t>* involved) {
 }
 
 bool TdgenSearch::conflict_backtrack() {
-  SharedExtract* shared =
-      options_.shared_publish != nullptr ? &shared_extract_ : nullptr;
-  if (engine_.depth() == 0 || !engine_.analyze(&analysis_, shared)) {
+  if (engine_.depth() == 0 || !engine_.analyze(&analysis_)) {
     return backtrack();
-  }
-
-  if (shared != nullptr && analysis_.cone_clean) {
-    // Fault-independent conflict: assemble decision + leaf literals into a
-    // standalone clause any other fault (site outside the footprint) can
-    // consume.
-    static constexpr std::size_t kMaxSharedLits = 16;
-    static constexpr std::size_t kMaxSharedClauses = 4096;
-    std::vector<base::ClauseLit> lits = analysis_.lits;
-    lits.insert(lits.end(), shared_extract_.leaf_lits.begin(),
-                shared_extract_.leaf_lits.end());
-    std::sort(lits.begin(), lits.end(),
-              [](const base::ClauseLit& a, const base::ClauseLit& b) {
-                return a.node < b.node;
-              });
-    std::size_t w = 0;
-    for (const base::ClauseLit& lit : lits) {
-      if (w > 0 && lits[w - 1].node == lit.node) {
-        lits[w - 1].allowed &= lit.allowed;
-      } else {
-        lits[w++] = lit;
-      }
-    }
-    lits.resize(w);
-    if (!lits.empty() && lits.size() <= kMaxSharedLits &&
-        options_.shared_publish->size() < kMaxSharedClauses) {
-      std::string key;
-      key.reserve(lits.size() * 5);
-      for (const base::ClauseLit& lit : lits) {
-        key.append(reinterpret_cast<const char*>(&lit.node),
-                   sizeof(lit.node));
-        key.push_back(static_cast<char>(lit.allowed));
-      }
-      if (shared_published_.insert(std::move(key)).second) {
-        options_.shared_publish->publish(
-            {std::move(lits), shared_extract_.footprint,
-             static_cast<std::uint32_t>(analysis_.levels.size())});
-      }
-    }
   }
 
   ++conflicts_since_restart_;
@@ -745,9 +647,7 @@ bool TdgenSearch::conflict_backtrack() {
       involved_levels_[lvl] = 1;
     }
   }
-  // LBD at learn time: distinct decision levels the nogood spans (the
-  // shared clause above deliberately kept the unminimized literal set —
-  // the minimization proof below is local to this fault's root state).
+  // LBD at learn time: distinct decision levels the nogood spans.
   std::uint32_t lbd = static_cast<std::uint32_t>(analysis_.levels.size());
   // Each candidate literal costs one scratch-engine replay, so only short
   // clauses are worth polishing: they fire most often and drop literals

@@ -37,8 +37,7 @@ namespace gdf::tdgen {
 /// per targeted fault and shared by the local search and every re-entry —
 /// like the sequential backtrack budget it is never reset, so the abort
 /// point is a pure function of (context, fault, options) and the verdict
-/// bytes stay identical across --jobs and --shard-faults, unlike a
-/// wall-clock cap.
+/// bytes stay identical across --jobs and --shard-faults.
 class WorkBudget {
  public:
   /// `limit` assignments may be spent; the first charge pushing the total
@@ -135,14 +134,8 @@ struct TdgenOptions {
   /// activities reproduce the static order exactly.
   bool vsids = true;
   /// Shrink each learned nogood by replay-based self-subsumption before it
-  /// is stored (the unminimized clause is still what --learn shared
-  /// publishes — the minimization proof is fault-local).
+  /// is stored.
   bool minimize = true;
-  /// Try don't-care lifts cheapest fanout cone first instead of in index
-  /// order. The reorder changes which of two interacting lifts sticks —
-  /// pattern drift that cascades through fault dropping — so it is only
-  /// enabled where byte-stability is already waived (--learn shared).
-  bool reorder_lifts = false;
   /// When set, the search adds its counters here on destruction.
   SearchCounters* tally = nullptr;
   /// Shared per-fault work budget; the decision loop charges its engine's
@@ -163,15 +156,6 @@ struct TdgenOptions {
   /// same model and fault. Re-entries skip the whole-circuit init fixpoint
   /// this way; an incompatible donor silently falls back to init().
   const ImplicationEngine* init_donor = nullptr;
-  /// Clauses learned by an earlier search over the same fault (the base
-  /// search, for re-entries). Pins only narrow a re-entry's level-0 state,
-  /// so every base-search clause stays valid there; copied at start().
-  const base::ClauseArena* seed_clauses = nullptr;
-  /// Cross-fault store (--learn shared): fault-independent clauses are
-  /// consumed at start() (skipping any whose footprint covers this fault's
-  /// site) and published from cone-clean conflicts.
-  const base::ClauseStore* shared_consume = nullptr;
-  base::ClauseStore* shared_publish = nullptr;
 };
 
 enum class TdgenStatus {
@@ -198,12 +182,6 @@ class TdgenSearch {
   /// This search's engine — pass as TdgenOptions::init_donor to a re-entry
   /// over the same fault so it can seed from the post-init snapshot.
   const ImplicationEngine& engine() const { return engine_; }
-
-  /// Clauses learned so far — pass as TdgenOptions::seed_clauses to a
-  /// re-entry over the same fault.
-  const base::ClauseArena& learned_clauses() const {
-    return engine_.clauses();
-  }
 
   /// Constrains a PPO line to `allowed` (e.g. steady clean {1} during
   /// propagation justification re-entry). Call before the first next().
@@ -261,8 +239,8 @@ class TdgenSearch {
   /// them further down; a backtrack without analysis (nullptr) poisons
   /// the levels it crosses, pinning the walk below them to chronological.
   bool backtrack(const std::vector<std::uint8_t>* involved = nullptr);
-  /// Analyzes the current engine conflict, learns a clause (and publishes
-  /// a cone-clean one under --learn shared), then backjumps.
+  /// Analyzes the current engine conflict, learns a clause, then
+  /// backjumps.
   bool conflict_backtrack();
   bool choose_decision();
   bool push_decision(alg::NodeId node, alg::VSet try_set);
@@ -273,8 +251,6 @@ class TdgenSearch {
                       CheckOutcome* out) const;
   bool verified_solution(LocalTest* out);
   TdgenStatus exhausted_status() const;
-  void import_shared_clauses();
-  void prepare_lift_order();
 
   const alg::AtpgModel* model_;
   const alg::DelayAlgebra* algebra_;
@@ -323,7 +299,6 @@ class TdgenSearch {
   mutable SearchCounters probe_counters_;
   /// Conflict-analysis scratch reused across conflicts.
   Analysis analysis_;
-  SharedExtract shared_extract_;
   std::vector<std::uint8_t> involved_levels_;
   /// Per decision level: the union of the conflict sets of every failure
   /// that bounced off that level (CBJ accounting, --learn only).
@@ -332,14 +307,6 @@ class TdgenSearch {
   std::vector<std::vector<std::uint8_t>> cbj_rows_;
   std::vector<std::uint8_t> cbj_poison_;
   std::vector<std::uint8_t> cbj_cur_;
-  /// Keys of clauses already published to the shared store by this search.
-  std::unordered_set<std::string> shared_published_;
-  /// Don't-care lifting order (--learn only): source indices sorted by
-  /// fanout-cone size ascending, so cheap probes run (and cheap lifts
-  /// stick) first. Built lazily at the first verified solution.
-  std::vector<std::size_t> lift_order_ppi_;
-  std::vector<std::size_t> lift_order_pi_;
-  bool lift_order_ready_ = false;
   /// Last branched-to value set per node (phase saving, --learn only):
   /// primary splits retry the phase that survived deepest before falling
   /// back to the static vset_first choice. 0 = no phase saved.

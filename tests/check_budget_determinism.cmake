@@ -1,8 +1,8 @@
 # --fault-budget determinism on the gdf_atpg binary: a budgeted sweep's
 # bytes must be identical across --jobs 1/4 and --shard-faults off/4 (the
 # budget counts per-fault implication-engine assignments, a pure function
-# of the fault — unlike --per-fault-seconds, it must NOT turn sharding
-# off). Registered by tests/CMakeLists.txt as `cli_budget_determinism`.
+# of the fault, so budgeted runs keep sharding). Registered by
+# tests/CMakeLists.txt as `cli_budget_determinism`.
 #
 # Usage: cmake -DGDF_ATPG=<path> -P check_budget_determinism.cmake
 

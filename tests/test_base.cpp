@@ -31,37 +31,6 @@ TEST(ClauseArena, TiersStampAndActivity) {
   EXPECT_EQ(arena.activity(c), 0.75);
 }
 
-TEST(ClauseStore, CapacityBoundWithCoreSurvivors) {
-  // Overfilling the store triggers the tiered reduction: LBD<=2 core
-  // clauses all survive, the rest compete by LBD, and size/bytes stay
-  // bounded and consistent with the surviving clauses.
-  base::ClauseStore store(8);
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    base::SharedClause clause;
-    clause.lits = {{static_cast<alg::NodeId>(i), 0x7},
-                   {static_cast<alg::NodeId>(i + 100), 0x3}};
-    clause.footprint = {static_cast<alg::NodeId>(i)};
-    clause.lbd = (i % 5 == 0) ? 2 : 3 + (i % 7);
-    store.publish(std::move(clause));
-  }
-  EXPECT_LE(store.size(), store.capacity());
-  const base::ClauseStore::Snapshot snap = store.snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->size(), store.size());
-  std::size_t bytes = 0;
-  std::size_t core = 0;
-  for (const base::SharedClause& clause : *snap) {
-    bytes += clause.lits.size() * sizeof(base::ClauseLit) +
-             clause.footprint.size() * sizeof(alg::NodeId);
-    if (base::ClauseArena::tier_of(clause.lbd) == base::ClauseTier::Core) {
-      ++core;
-    }
-  }
-  EXPECT_EQ(store.bytes(), bytes);
-  // Every published core clause (i % 5 == 0 -> 8 of 40) survived.
-  EXPECT_EQ(core, 8u);
-}
-
 TEST(Error, CheckThrowsWithMessage) {
   EXPECT_NO_THROW(check(true, "fine"));
   try {

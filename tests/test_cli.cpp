@@ -52,7 +52,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--shard-faults"), std::string::npos);
   EXPECT_NE(text.find("--shard-epoch"), std::string::npos);
   EXPECT_NE(text.find("--lanes"), std::string::npos);
-  EXPECT_NE(text.find("--adi-sequences"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
   EXPECT_NE(text.find("--learned-limit"), std::string::npos);
   EXPECT_NE(text.find("--restarts"), std::string::npos);
@@ -129,12 +128,25 @@ TEST(ArgsTest, LearnModeChoices) {
             core::LearnMode::On);
   EXPECT_EQ(parse({"--all", "--learn", "off"}).atpg.learn,
             core::LearnMode::Off);
-  EXPECT_EQ(parse({"--all", "--learn", "shared"}).atpg.learn,
-            core::LearnMode::Shared);
   EXPECT_THROW(parse({"--all", "--learn", "maybe"}), Error);
   EXPECT_EQ(parse({"--all"}).atpg.learned_limit, 512);
   EXPECT_EQ(parse({"--all", "--learned-limit", "64"}).atpg.learned_limit,
             64);
+}
+
+TEST(ArgsTest, DeletedModesAreInputErrors) {
+  for (const auto& args :
+       {std::initializer_list<const char*>{"--all", "--learn", "shared"},
+        std::initializer_list<const char*>{"--all", "--per-fault-seconds",
+                                           "1"},
+        std::initializer_list<const char*>{"--all", "--adi-sequences", "8"}}) {
+    try {
+      parse(args);
+      ADD_FAILURE() << "accepted " << *(args.begin() + 1);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Input) << e.what();
+    }
+  }
 }
 
 TEST(ArgsTest, RestartPolicyChoices) {
@@ -149,13 +161,6 @@ TEST(ArgsTest, RestartPolicyChoices) {
   EXPECT_EQ(parse({"--all", "--restart-base", "8"}).atpg.local.restart_base,
             8);
   EXPECT_THROW(parse({"--all", "--restart-base", "0"}), Error);
-}
-
-TEST(ArgsTest, AdiSequenceBudget) {
-  EXPECT_EQ(parse({"--all"}).atpg.adi_sequences, 8);
-  EXPECT_EQ(parse({"--all", "--adi-sequences", "16"}).atpg.adi_sequences, 16);
-  EXPECT_THROW(parse({"--all", "--adi-sequences", "0"}), Error);
-  EXPECT_THROW(parse({"--all", "--adi-sequences", "-3"}), Error);
 }
 
 TEST(ArgsTest, ShardFlags) {

@@ -170,12 +170,52 @@ TEST(FogbusterOptions, StemOnlyFaultListIsSmaller) {
   EXPECT_EQ(r.faults.size(), 34u);
 }
 
-TEST(FogbusterOptions, PerFaultTimeCapAborts) {
-  AtpgOptions opts;
-  opts.per_fault_seconds = 1e-9;  // everything times out immediately
-  opts.fault_dropping = false;
-  const FogbusterResult r = run_delay_atpg(circuits::make_s27(), opts);
-  EXPECT_EQ(r.aborted(), static_cast<int>(r.faults.size()));
+// A Tested verdict carries an end-to-end verified sequence, so no search
+// option may call that fault Untestable. With dropping off every fault
+// gets its own search, and the configurations run one after another on
+// one shared context per circuit.
+TEST(FogbusterOptions, VerdictsAgreeAcrossSearchOptions) {
+  std::vector<AtpgOptions> configs(5);
+  configs[1].learn = LearnMode::Off;
+  configs[2].local.restarts = tdgen::RestartPolicy::Off;
+  configs[3].fault_budget = 2000;
+  configs[4].learned_limit = 16;
+  for (AtpgOptions& options : configs) {
+    options.fault_dropping = false;
+  }
+
+  long budget_aborts = 0;
+  bool any_tested = false;
+  bool any_untestable = false;
+  for (const char* name : {"c17", "s27", "s208", "s298", "s386"}) {
+    const auto ctx =
+        CircuitContext::build(circuits::load_circuit(name), configs[0]);
+    std::vector<FogbusterResult> results;
+    for (const AtpgOptions& options : configs) {
+      results.push_back(Fogbuster(ctx, options).run());
+    }
+    budget_aborts += results[3].stages.aborted_budget;
+    int contradictions = 0;
+    for (std::size_t f = 0; f < ctx->faults().size(); ++f) {
+      bool tested = false;
+      bool untestable = false;
+      for (const FogbusterResult& r : results) {
+        tested = tested || r.status[f] == FaultStatus::Tested;
+        untestable = untestable || r.status[f] == FaultStatus::Untestable;
+      }
+      contradictions += tested && untestable ? 1 : 0;
+      any_tested = any_tested || tested;
+      any_untestable = any_untestable || untestable;
+    }
+    EXPECT_EQ(contradictions, 0)
+        << name << ": faults Tested in one configuration and Untestable "
+        << "in another";
+  }
+  // Vacuity guards: the budget really cut searches short, and both
+  // verdicts occur, so the comparison had something to contradict.
+  EXPECT_GT(budget_aborts, 0);
+  EXPECT_TRUE(any_tested);
+  EXPECT_TRUE(any_untestable);
 }
 
 TEST(ReportTest, Table3Formatting) {

@@ -179,21 +179,18 @@ TEST(ShardConfigTest, ParseRoundTrips) {
   EXPECT_THROW(parse_shard_faults("many"), Error);
 }
 
-TEST(ShardConfigTest, AutoGatesOnSizePoolAndTimingCaps) {
+TEST(ShardConfigTest, AutoGatesOnSizeAndPool) {
   ThreadPool wide(4);
   ThreadPool narrow(1);
   ShardConfig shard;
   shard.policy = ShardConfig::Policy::Auto;
   shard.min_faults = 100;
-  EXPECT_EQ(shard_workers(shard, wide, 5000, 0.0), 4u);
-  EXPECT_EQ(shard_workers(shard, wide, 99, 0.0), 0u);   // too small
-  EXPECT_EQ(shard_workers(shard, narrow, 5000, 0.0), 0u);  // no spare
-  // A per-fault wall-clock cap makes verdicts timing-dependent; Auto
-  // declines rather than adding scheduling noise.
-  EXPECT_EQ(shard_workers(shard, wide, 5000, 1.0), 0u);
+  EXPECT_EQ(shard_workers(shard, wide, 5000), 4u);
+  EXPECT_EQ(shard_workers(shard, wide, 99), 0u);   // too small
+  EXPECT_EQ(shard_workers(shard, narrow, 5000), 0u);  // no spare
   shard.policy = ShardConfig::Policy::Forced;
   shard.workers = 3;
-  EXPECT_EQ(shard_workers(shard, narrow, 10, 1.0), 3u);
+  EXPECT_EQ(shard_workers(shard, narrow, 10), 3u);
   EXPECT_EQ(shard_epoch_size(shard, 3), 16u);  // 4x workers, floor 16
   shard.epoch_size = 5;
   EXPECT_EQ(shard_epoch_size(shard, 3), 5u);
@@ -209,10 +206,10 @@ TEST(ShardConfigTest, ForcedWidthOneRunsSequential) {
   ShardConfig shard;
   shard.policy = ShardConfig::Policy::Forced;
   shard.workers = 1;
-  EXPECT_EQ(shard_workers(shard, narrow, 5000, 0.0), 0u);
-  EXPECT_EQ(shard_workers(shard, wide, 5000, 0.0), 0u);
+  EXPECT_EQ(shard_workers(shard, narrow, 5000), 0u);
+  EXPECT_EQ(shard_workers(shard, wide, 5000), 0u);
   shard.workers = 2;
-  EXPECT_EQ(shard_workers(shard, narrow, 5000, 0.0), 2u);
+  EXPECT_EQ(shard_workers(shard, narrow, 5000), 2u);
 }
 
 // The tentpole contract: an epoch-sharded run is indistinguishable from
