@@ -86,8 +86,8 @@ fi
 # Learning ablation on the same two tails (the clause-quality PR): both
 # --learn modes at identical flags otherwise, recording wall time and
 # the aborted totals. 'off' is the pre-learning baseline, 'on' the
-# deterministic per-fault learner (tiered clauses + activity ordering +
-# luby restarts).
+# deterministic per-fault learner (capped clause database + backjumping
+# + clause minimization + activity ordering + probe memo).
 for mode in off on; do
   echo "run_benchmarks: s1196+s1238 with --learn $mode ..." >&2
   TA=$(date +%s.%N)
@@ -191,15 +191,7 @@ search_core = {
     "clause_hits": 0,
     "backjump_levels_skipped": 0,
     "probe_memo_hits": 0,
-    "restarts": 0,
-    "clause_reductions": 0,
     "minimized_lits": 0,
-    "clause_db_core": 0,
-    "clause_db_mid": 0,
-    "clause_db_local": 0,
-    "lbd_le2": 0,
-    "lbd_3_6": 0,
-    "lbd_gt6": 0,
 }
 for m in re.finditer(
         r"search core\s+implications (\d+), trail pushes (\d+), pops (\d+)",
@@ -214,37 +206,20 @@ for m in re.finditer(
     search_core["probe_cone"] += int(m.group(2))
     search_core["probe_full"] += int(m.group(3))
 # Conflict-driven-search counters (the learning PR): how often the engine
-# conflicted, what it learned, and what the learning saved.
+# conflicted, what it learned, what the learning saved, and how many
+# literals clause minimization dropped.
 for m in re.finditer(
         r"conflict learning\s+conflicts (\d+), learned (\d+), "
-        r"clause hits (\d+), backjump levels skipped (\d+)",
+        r"clause hits (\d+), backjump levels skipped (\d+), "
+        r"minimized lits (\d+)",
         stages_text):
     search_core["conflicts"] += int(m.group(1))
     search_core["learned_clauses"] += int(m.group(2))
     search_core["clause_hits"] += int(m.group(3))
     search_core["backjump_levels_skipped"] += int(m.group(4))
+    search_core["minimized_lits"] += int(m.group(5))
 for m in re.finditer(r"probe memo\s+hits (\d+)", stages_text):
     search_core["probe_memo_hits"] += int(m.group(1))
-# Clause-quality scheduling counters (the clause-quality PR): restart and
-# reduction cadence, minimization yield, and the tier/LBD composition of
-# the learned databases at end of search.
-for m in re.finditer(
-        r"restart policy\s+restarts (\d+), clause reductions (\d+), "
-        r"minimized lits (\d+)",
-        stages_text):
-    search_core["restarts"] += int(m.group(1))
-    search_core["clause_reductions"] += int(m.group(2))
-    search_core["minimized_lits"] += int(m.group(3))
-for m in re.finditer(
-        r"clause tiers\s+core (\d+), mid (\d+), local (\d+); "
-        r"LBD<=2 (\d+), 3-6 (\d+), >6 (\d+)",
-        stages_text):
-    search_core["clause_db_core"] += int(m.group(1))
-    search_core["clause_db_mid"] += int(m.group(2))
-    search_core["clause_db_local"] += int(m.group(3))
-    search_core["lbd_le2"] += int(m.group(4))
-    search_core["lbd_3_6"] += int(m.group(5))
-    search_core["lbd_gt6"] += int(m.group(6))
 
 # Simulation-kernel counters (the backend PR): which backend ran and how
 # many gate evaluations each lane width performed over the tail circuits.

@@ -113,19 +113,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       }
     } else if (arg == "--learned-limit") {
       config.atpg.learned_limit = parse_int(arg, value_of(i, arg));
-    } else if (arg == "--restarts") {
-      const std::string mode = value_of(i, arg);
-      if (mode == "luby") {
-        config.atpg.local.restarts = tdgen::RestartPolicy::Luby;
-      } else if (mode == "off") {
-        config.atpg.local.restarts = tdgen::RestartPolicy::Off;
-      } else {
-        throw Error("--restarts expects 'luby' or 'off', got '" + mode + "'");
-      }
-    } else if (arg == "--restart-base") {
-      const int base = parse_int(arg, value_of(i, arg));
-      check(base > 0, "--restart-base expects a positive conflict count");
-      config.atpg.local.restart_base = base;
     } else if (arg == "--fault-budget") {
       const int budget = parse_int(arg, value_of(i, arg));
       check(budget > 0, "--fault-budget expects a positive assignment count");
@@ -300,15 +287,11 @@ std::string usage() {
       "                          memo, deterministic at any worker count,\n"
       "                          default) or 'off' (chronological search,\n"
       "                          pre-learning bytes)\n"
-      "      --learned-limit N   clause-database budget per fault; past it\n"
-      "                          a tiered reduction keeps LBD<=2 clauses\n"
-      "                          and the best of the rest [512]\n"
-      "      --restarts MODE     restart policy of the learning search:\n"
-      "                          'luby' (restart after base*luby(k)\n"
-      "                          conflicts keeping clauses, activities and\n"
-      "                          saved phases; deterministic at any worker\n"
-      "                          count, default) or 'off'\n"
-      "      --restart-base N    conflicts before the first restart [32]\n"
+      "      --learned-limit N   cap on the clauses one search stores\n"
+      "                          [512]; past it, conflicts still backjump\n"
+      "                          but their clauses are dropped. Every\n"
+      "                          learned clause costs a local backtrack,\n"
+      "                          so --local-backtracks bounds the count too\n"
       "      --seed N            RNG seed for X-fill         [1995]\n"
       "      --no-fault-dropping disable dropping via fault simulation\n"
       "      --no-branch-faults  gate outputs only, no fanout branches\n"

@@ -65,14 +65,8 @@ std::string format_stage_stats(const StageStats& s) {
      << "  conflict learning      conflicts " << s.search.conflicts
      << ", learned " << s.search.learned << ", clause hits "
      << s.search.clause_hits << ", backjump levels skipped "
-     << s.search.backjump_levels_skipped << "\n"
-     << "  restart policy         restarts " << s.search.restarts
-     << ", clause reductions " << s.search.clause_reductions
-     << ", minimized lits " << s.search.minimized_lits << "\n"
-     << "  clause tiers           core " << s.search.clause_db_core
-     << ", mid " << s.search.clause_db_mid << ", local "
-     << s.search.clause_db_local << "; LBD<=2 " << s.search.lbd_le2
-     << ", 3-6 " << s.search.lbd_3_6 << ", >6 " << s.search.lbd_gt6 << "\n"
+     << s.search.backjump_levels_skipped << ", minimized lits "
+     << s.search.minimized_lits << "\n"
      << "  verification probes    " << s.search.probe_runs
      << " (cone-scoped " << s.search.probe_cone << ", full "
      << s.search.probe_full << ")\n"

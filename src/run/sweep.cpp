@@ -122,8 +122,6 @@ struct GenerationKey {
   // settings must not share an untestable memo.
   core::LearnMode learn;
   int learned_limit;
-  tdgen::RestartPolicy restarts;
-  int restart_base;
 
   explicit GenerationKey(const core::AtpgOptions& o)
       : structure(o),
@@ -136,9 +134,7 @@ struct GenerationKey {
         seq_decisions(o.sequential.decision_limit),
         fault_budget(o.fault_budget),
         learn(o.learn),
-        learned_limit(o.learned_limit),
-        restarts(o.local.restarts),
-        restart_base(o.local.restart_base) {}
+        learned_limit(o.learned_limit) {}
 
   bool operator==(const GenerationKey&) const = default;
 };

@@ -67,7 +67,6 @@ void ImplicationEngine::init(const alg::FaultSpec& fault) {
     w.clear();
   }
   watching_ = false;
-  cla_inc_ = 1.0;
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
 
@@ -122,7 +121,6 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
     w.clear();
   }
   watching_ = false;
-  cla_inc_ = 1.0;
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
   site_chain_ = donor.site_chain_;
@@ -248,20 +246,13 @@ bool ImplicationEngine::check_watches(NodeId n) {
     conflict_clause_ = c;
     ++counters_.conflicts;
     ++counters_.clause_hits;
-    // A firing clause proves its usefulness: bump it (EVSIDS — everyone
-    // else decays by the growing increment) so reductions keep it.
-    arena_.bump_activity(c, cla_inc_);
-    if (arena_.activity(c) > 1e100) {
-      arena_.scale_activities(1e-100);
-      cla_inc_ *= 1e-100;
-    }
     return false;
   }
   return true;
 }
 
-std::size_t ImplicationEngine::add_clause(std::span<const base::ClauseLit> lits,
-                                          std::uint32_t lbd) {
+std::size_t ImplicationEngine::add_clause(
+    std::span<const base::ClauseLit> lits) {
   // Pick two literals that are false in the current state (one suffices
   // for a unit clause; none means the clause already fires here).
   std::uint32_t a = static_cast<std::uint32_t>(lits.size());
@@ -283,7 +274,7 @@ std::size_t ImplicationEngine::add_clause(std::span<const base::ClauseLit> lits,
   if (b == lits.size()) {
     b = a;
   }
-  const std::size_t index = arena_.add(lits, lbd);
+  const std::size_t index = arena_.add(lits);
   watch_pos_.push_back({a, b});
   watches_[lits[a].node].push_back(static_cast<std::uint32_t>(index));
   if (b != a) {
@@ -291,90 +282,6 @@ std::size_t ImplicationEngine::add_clause(std::span<const base::ClauseLit> lits,
   }
   watching_ = true;
   return index;
-}
-
-std::size_t ImplicationEngine::reduce_clauses(std::size_t keep_target) {
-  GDF_ASSERT(!conflict_, "reduce_clauses on a conflicted engine");
-  const std::size_t total = arena_.size();
-  if (total <= keep_target) {
-    return 0;
-  }
-  // Rank: core clauses always survive; the rest by (LBD ascending,
-  // activity descending, newer first). All tie-breaks are total, so the
-  // surviving set is a pure function of the learning history.
-  std::vector<std::size_t> rest;
-  rest.reserve(total);
-  std::size_t core = 0;
-  for (std::size_t c = 0; c < total; ++c) {
-    if (base::ClauseArena::tier_of(arena_.lbd(c)) == base::ClauseTier::Core) {
-      ++core;
-    } else {
-      rest.push_back(c);
-    }
-  }
-  const std::size_t keep_rest = keep_target > core ? keep_target - core : 0;
-  if (rest.size() <= keep_rest) {
-    return 0;
-  }
-  std::stable_sort(rest.begin(), rest.end(),
-                   [this](std::size_t a, std::size_t b) {
-                     if (arena_.lbd(a) != arena_.lbd(b)) {
-                       return arena_.lbd(a) < arena_.lbd(b);
-                     }
-                     if (arena_.activity(a) != arena_.activity(b)) {
-                       return arena_.activity(a) > arena_.activity(b);
-                     }
-                     return a > b;  // newer first on equal quality
-                   });
-  std::vector<std::uint8_t> keep(total, 0);
-  for (std::size_t c = 0; c < total; ++c) {
-    if (base::ClauseArena::tier_of(arena_.lbd(c)) == base::ClauseTier::Core) {
-      keep[c] = 1;
-    }
-  }
-  for (std::size_t k = 0; k < keep_rest; ++k) {
-    keep[rest[k]] = 1;
-  }
-  // Rebuild the arena and the watch lists from scratch in original index
-  // order. add_clause re-picks watches against the *current* state, which
-  // is exactly the invariant the scheme needs (and every surviving clause
-  // has a false literal here: an all-true valid nogood would contradict
-  // this conflict-free fixpoint).
-  base::ClauseArena old = std::move(arena_);
-  arena_ = {};
-  watch_pos_.clear();
-  for (auto& w : watches_) {
-    w.clear();
-  }
-  watching_ = false;
-  std::size_t evicted = 0;
-  for (std::size_t c = 0; c < total; ++c) {
-    if (!keep[c]) {
-      ++evicted;
-      continue;
-    }
-    const std::size_t idx = add_clause(old.lits(c), old.lbd(c));
-    if (idx != base::ClauseArena::kNone) {
-      arena_.bump_activity(idx, old.activity(c));
-    }
-  }
-  return evicted;
-}
-
-void ImplicationEngine::tier_sizes(long* core, long* mid, long* local) const {
-  for (std::size_t c = 0; c < arena_.size(); ++c) {
-    switch (base::ClauseArena::tier_of(arena_.lbd(c))) {
-      case base::ClauseTier::Core:
-        ++*core;
-        break;
-      case base::ClauseTier::Mid:
-        ++*mid;
-        break;
-      case base::ClauseTier::Local:
-        ++*local;
-        break;
-    }
-  }
 }
 
 int ImplicationEngine::minimize_nogood(std::vector<base::ClauseLit>* lits) {

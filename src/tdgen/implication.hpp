@@ -59,8 +59,7 @@ struct Analysis {
   /// a literal, pre-merge — one node can appear at several levels (its set
   /// was split more than once). Lets a caller that drops literals (clause
   /// minimization) recompute `levels` for the survivors: a level stays
-  /// involved iff some surviving node has an entry there. levels.size()
-  /// of the surviving set is the clause's LBD.
+  /// involved iff some surviving node has an entry there.
   std::vector<std::pair<alg::NodeId, std::uint32_t>> lit_levels;
 };
 
@@ -153,29 +152,15 @@ class ImplicationEngine {
   /// to analyze.
   bool analyze(Analysis* out);
 
-  /// Adds a nogood clause stamped with its LBD and wires it into the watch
-  /// lists at the current state. Returns the clause index, or
-  /// ClauseArena::kNone when every literal already holds (the caller should
-  /// treat the state as conflicted — cannot happen at a conflict-free
-  /// fixpoint for a valid clause).
-  std::size_t add_clause(std::span<const base::ClauseLit> lits,
-                         std::uint32_t lbd = 0);
+  /// Adds a nogood clause and wires it into the watch lists at the current
+  /// state. Returns the clause index, or ClauseArena::kNone when every
+  /// literal already holds (the caller should treat the state as
+  /// conflicted — cannot happen at a conflict-free fixpoint for a valid
+  /// clause).
+  std::size_t add_clause(std::span<const base::ClauseLit> lits);
 
   /// The clauses learned so far.
   const base::ClauseArena& clauses() const { return arena_; }
-
-  /// Tiered clause-database reduction (call only at a conflict-free
-  /// fixpoint, e.g. right after a backjump): keeps every core clause
-  /// (LBD≤2) unconditionally and the best `keep_target` − core of the rest
-  /// by (LBD ascending, activity descending, newer first), rebuilds the
-  /// arena and the watch lists, and returns how many clauses were evicted.
-  /// Evicting a clause never changes behavior beyond speed — firings are
-  /// pure shortcuts.
-  std::size_t reduce_clauses(std::size_t keep_target);
-
-  /// Final tier composition of the clause database (core / mid / local by
-  /// LBD) — the search folds this into its counters at destruction.
-  void tier_sizes(long* core, long* mid, long* local) const;
 
   /// EVSIDS node activity: every conflict analysis bumps the nodes on the
   /// conflict side (all marked nodes) and geometrically decays the rest by
@@ -279,9 +264,6 @@ class ImplicationEngine {
   /// False until the first clause is wired — lets narrow() skip the watch
   /// probe entirely on clause-free searches.
   bool watching_ = false;
-  /// EVSIDS clause-activity increment: firing clauses bump by cla_inc_,
-  /// which grows per conflict (geometric decay of everyone else).
-  double cla_inc_ = 1.0;
 
   // EVSIDS node activities (see activity()).
   std::vector<double> activity_;

@@ -57,14 +57,7 @@ TdgenSearch::~TdgenSearch() {
   tally.clause_hits = engine_.counters().clause_hits;
   tally.learned = learned_;
   tally.backjump_levels_skipped = backjump_levels_skipped_;
-  tally.restarts = restarts_;
-  tally.clause_reductions = clause_reductions_;
   tally.minimized_lits = minimized_lits_;
-  tally.lbd_le2 = lbd_le2_;
-  tally.lbd_3_6 = lbd_3_6_;
-  tally.lbd_gt6 = lbd_gt6_;
-  engine_.tier_sizes(&tally.clause_db_core, &tally.clause_db_mid,
-                     &tally.clause_db_local);
   options_.tally->add(tally);
 }
 
@@ -98,28 +91,6 @@ bool TdgenSearch::apply_root_constraints(ImplicationEngine* engine) const {
   return true;
 }
 
-namespace {
-
-/// luby(0), luby(1), … = 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 … — the classic
-/// reluctant-doubling sequence (finite-subsequence reshuffling of powers
-/// of two). Restart k waits base·luby(k) conflicts.
-long luby(long x) {
-  long size = 1;
-  long seq = 0;
-  while (size < x + 1) {
-    size = 2 * size + 1;
-    ++seq;
-  }
-  while (size - 1 != x) {
-    size = (size - 1) / 2;
-    --seq;
-    x = x % size;
-  }
-  return 1L << seq;
-}
-
-}  // namespace
-
 bool TdgenSearch::start() {
   if (options_.init_donor == nullptr ||
       !engine_.init_from(*options_.init_donor, spec_)) {
@@ -128,39 +99,7 @@ bool TdgenSearch::start() {
   if (engine_.conflict()) {
     return false;
   }
-  if (!apply_root_constraints(&engine_)) {
-    return false;
-  }
-  if (options_.learn && options_.restarts == RestartPolicy::Luby) {
-    restart_threshold_ = static_cast<long>(options_.restart_base) * luby(0);
-  }
-  return true;
-}
-
-bool TdgenSearch::restart() {
-  while (!stack_.empty()) {
-    engine_.pop_level();
-    stack_.pop_back();
-  }
-  cbj_cur_.clear();
-  ++restarts_;
-  conflicts_since_restart_ = 0;
-  restart_threshold_ =
-      static_cast<long>(options_.restart_base) * luby(restarts_);
-  // The root state was conflict-free at start() and popping levels only
-  // restores it; clauses fire during propagation, of which there is none
-  // here. The check is a pure safety net.
-  return !engine_.conflict();
-}
-
-bool TdgenSearch::maybe_restart() {
-  if (options_.restarts != RestartPolicy::Luby || !options_.learn) {
-    return true;
-  }
-  if (conflicts_since_restart_ < restart_threshold_) {
-    return true;
-  }
-  return restart();
+  return apply_root_constraints(&engine_);
 }
 
 bool TdgenSearch::carrier_possible_at_observation() const {
@@ -640,15 +579,12 @@ bool TdgenSearch::conflict_backtrack() {
     return backtrack();
   }
 
-  ++conflicts_since_restart_;
   involved_levels_.assign(stack_.size() + 1, 0);
   for (const std::uint32_t lvl : analysis_.levels) {
     if (lvl < involved_levels_.size()) {
       involved_levels_[lvl] = 1;
     }
   }
-  // LBD at learn time: distinct decision levels the nogood spans.
-  std::uint32_t lbd = static_cast<std::uint32_t>(analysis_.levels.size());
   // Each candidate literal costs one scratch-engine replay, so only short
   // clauses are worth polishing: they fire most often and drop literals
   // most often. Past ~4 literals the replay time exceeds what the sweep
@@ -656,7 +592,7 @@ bool TdgenSearch::conflict_backtrack() {
   static constexpr std::size_t kMaxMinimizeLits = 4;
   if (options_.minimize && analysis_.lits.size() > 1 &&
       analysis_.lits.size() <= kMaxMinimizeLits) {
-    lbd = minimize_learned(lbd);
+    minimize_learned();
   }
   if (!backtrack(&involved_levels_)) {
     return false;
@@ -664,30 +600,15 @@ bool TdgenSearch::conflict_backtrack() {
   // Learn at the post-jump state (the backjump flipped a decision at one
   // of the clause's involved levels, so a literal is false again and the
   // clause has a watch).
-  if (engine_.add_clause(analysis_.lits, lbd) != base::ClauseArena::kNone) {
-    ++learned_;
-    if (lbd <= base::ClauseArena::kCoreLbd) {
-      ++lbd_le2_;
-    } else if (lbd <= base::ClauseArena::kMidLbd) {
-      ++lbd_3_6_;
-    } else {
-      ++lbd_gt6_;
-    }
-  }
-  // Tiered database reduction once past the budget — only at a
-  // conflict-free state (the flip's propagation may have conflicted
-  // again, in which case the next analysis round gets here first).
-  if (!engine_.conflict() &&
-      engine_.clauses().size() >
+  if (engine_.clauses().size() <
           static_cast<std::size_t>(options_.learned_limit) &&
-      engine_.reduce_clauses(
-          static_cast<std::size_t>(options_.learned_limit) / 2) > 0) {
-    ++clause_reductions_;
+      engine_.add_clause(analysis_.lits) != base::ClauseArena::kNone) {
+    ++learned_;
   }
-  return maybe_restart();
+  return true;
 }
 
-std::uint32_t TdgenSearch::minimize_learned(std::uint32_t lbd) {
+void TdgenSearch::minimize_learned() {
   if (minimize_engine_ == nullptr && !minimize_engine_failed_) {
     // The scratch engine reproduces this search's root state (post-init
     // fixpoint + activation/pins/required-observation) and never learns
@@ -704,31 +625,29 @@ std::uint32_t TdgenSearch::minimize_learned(std::uint32_t lbd) {
     }
   }
   if (minimize_engine_ == nullptr) {
-    return lbd;
+    return;
   }
   const int removed = minimize_engine_->minimize_nogood(&analysis_.lits);
   if (removed <= 0) {
-    return lbd;
+    return;
   }
   minimized_lits_ += removed;
   // Recompute the involved levels from the survivors: a level stays in
   // the backjump set iff some surviving node was split there. Every
   // survivor is a decision-level external, so the set cannot go empty.
   std::vector<std::uint8_t> shrunk(involved_levels_.size(), 0);
-  std::uint32_t new_lbd = 0;
+  bool any = false;
   for (const base::ClauseLit& lit : analysis_.lits) {
     for (const auto& [node, level] : analysis_.lit_levels) {
-      if (node == lit.node && level < shrunk.size() && shrunk[level] == 0) {
+      if (node == lit.node && level < shrunk.size()) {
         shrunk[level] = 1;
-        ++new_lbd;
+        any = true;
       }
     }
   }
-  if (new_lbd == 0) {
-    return lbd;  // defensive: keep the unminimized backjump set
+  if (any) {  // defensive: otherwise keep the unminimized backjump set
+    involved_levels_ = std::move(shrunk);
   }
-  involved_levels_ = std::move(shrunk);
-  return new_lbd;
 }
 
 TdgenStatus TdgenSearch::exhausted_status() const {

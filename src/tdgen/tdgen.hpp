@@ -63,15 +63,8 @@ struct SearchCounters {
   long learned = 0;      ///< clauses learned from conflict analysis
   long clause_hits = 0;  ///< conflicts announced early by a learned clause
   long backjump_levels_skipped = 0;  ///< levels discarded untried by CBJ
-  long restarts = 0;            ///< Luby restarts taken (--restarts luby)
-  long clause_reductions = 0;   ///< tiered clause-DB reduction passes
-  long minimized_lits = 0;      ///< literals dropped by nogood minimization
-  long clause_db_core = 0;   ///< end-of-search clauses with LBD ≤ 2
-  long clause_db_mid = 0;    ///< … LBD 3–6
-  long clause_db_local = 0;  ///< … LBD > 6
-  long lbd_le2 = 0;   ///< learned clauses with LBD ≤ 2 (at learn time)
-  long lbd_3_6 = 0;   ///< … LBD 3–6
-  long lbd_gt6 = 0;   ///< … LBD > 6
+  long restarts = 0;  ///< always 0: the search never restarts
+  long minimized_lits = 0;  ///< literals dropped by nogood minimization
   long probe_runs = 0;  ///< verification probes executed (not memo-skipped)
   long probe_cone = 0;  ///< … settled incrementally from the cached state
   long probe_full = 0;  ///< … requiring a full two-frame pass
@@ -85,31 +78,13 @@ struct SearchCounters {
     learned += other.learned;
     clause_hits += other.clause_hits;
     backjump_levels_skipped += other.backjump_levels_skipped;
-    restarts += other.restarts;
-    clause_reductions += other.clause_reductions;
     minimized_lits += other.minimized_lits;
-    clause_db_core += other.clause_db_core;
-    clause_db_mid += other.clause_db_mid;
-    clause_db_local += other.clause_db_local;
-    lbd_le2 += other.lbd_le2;
-    lbd_3_6 += other.lbd_3_6;
-    lbd_gt6 += other.lbd_gt6;
     probe_runs += other.probe_runs;
     probe_cone += other.probe_cone;
     probe_full += other.probe_full;
     probe_memo_hits += other.probe_memo_hits;
   }
 };
-
-/// Restart policy of the conflict-driven search (--restarts). Luby fires a
-/// restart after base·luby(k) analyzed conflicts (k = restarts taken so
-/// far): the search backjumps to level 0 but keeps its learned clauses,
-/// memoized probes, node activities and saved phases, so the retried
-/// descent is ordered by everything the failed one learned. The trigger
-/// counts only this search's own conflicts — byte-deterministic at any
-/// --jobs/--shard-faults. Off disables restarts (with --learn off this is
-/// the committed pre-learning golden path).
-enum class RestartPolicy : std::uint8_t { Off, Luby };
 
 struct TdgenOptions {
   int backtrack_limit = 100;     ///< paper §6
@@ -119,15 +94,10 @@ struct TdgenOptions {
   /// memoize successful verification probes, and lift don't-cares cheapest
   /// cone first. Off reproduces the chronological search byte-for-byte.
   bool learn = true;
-  /// Clause-database budget per search. Exceeding it no longer stops
-  /// learning: a tiered reduction pass (core LBD≤2 kept forever, the rest
-  /// ranked by LBD then activity) evicts down to half the budget instead.
+  /// Cap on the clauses one search stores; once reached, later nogoods
+  /// still drive backjumping but are not kept. Every analyzed conflict
+  /// spends a backtrack, so backtrack_limit bounds the count as well.
   int learned_limit = 512;
-  /// Restart policy (--restarts); active only when `learn` is set.
-  RestartPolicy restarts = RestartPolicy::Luby;
-  /// Conflicts before the first restart; the k-th restart fires after
-  /// restart_base·luby(k) conflicts (--restart-base).
-  int restart_base = 32;
   /// Order decisions by EVSIDS node activity (bumped on conflict-side
   /// nodes at every analysis), tie-broken by the static order, with phase
   /// saving across backtracks. Active only when `learn` is set; all-zero
@@ -221,16 +191,9 @@ class TdgenSearch {
   /// PPO pins, required observation. Factored out of start() so the
   /// minimization scratch engine can reproduce the root state exactly.
   bool apply_root_constraints(ImplicationEngine* engine) const;
-  /// Pops every decision level but keeps clauses, probe memos, activities
-  /// and saved phases; the next descent re-decides under the learned
-  /// ordering. Returns false when the root state itself is conflicted.
-  bool restart();
-  /// Fires a Luby restart when this search's analyzed-conflict count
-  /// crossed the current threshold. Returns false on a root conflict.
-  bool maybe_restart();
   /// Replay-minimizes analysis_.lits on the scratch engine and recomputes
-  /// involved_levels_/LBD from the surviving literals' levels.
-  std::uint32_t minimize_learned(std::uint32_t lbd);
+  /// involved_levels_ from the surviving literals' levels.
+  void minimize_learned();
   /// Chronological backtrack, or — when `involved` names the decision
   /// levels a just-analyzed conflict rests on — conflict-directed
   /// backjumping: levels not in the failure's cause are discarded untried
@@ -239,8 +202,8 @@ class TdgenSearch {
   /// them further down; a backtrack without analysis (nullptr) poisons
   /// the levels it crosses, pinning the walk below them to chronological.
   bool backtrack(const std::vector<std::uint8_t>* involved = nullptr);
-  /// Analyzes the current engine conflict, learns a clause, then
-  /// backjumps.
+  /// Analyzes the current engine conflict, backjumps, then learns a
+  /// clause while the database is under learned_limit.
   bool conflict_backtrack();
   bool choose_decision();
   bool push_decision(alg::NodeId node, alg::VSet try_set);
@@ -317,16 +280,7 @@ class TdgenSearch {
   bool minimize_engine_failed_ = false;
   long learned_ = 0;
   long backjump_levels_skipped_ = 0;
-  long restarts_ = 0;
-  long clause_reductions_ = 0;
   long minimized_lits_ = 0;
-  long lbd_le2_ = 0;
-  long lbd_3_6_ = 0;
-  long lbd_gt6_ = 0;
-  /// Conflicts analyzed since the last restart / the current Luby
-  /// threshold (conflict counts, deterministic by construction).
-  long conflicts_since_restart_ = 0;
-  long restart_threshold_ = 0;
   bool started_ = false;
   bool aborted_ = false;
   int backtracks_ = 0;

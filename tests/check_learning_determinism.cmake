@@ -1,19 +1,21 @@
 # End-to-end guarantees of the conflict-driven search (--learn):
 #
-#  1. --learn off reproduces the pre-learning chronological search
-#     byte-for-byte: the sweep's CSV must equal the committed golden
-#     (tests/golden_catalog_learn_off.csv).
+#  1. Both search modes are pinned byte for byte: --learn off must equal
+#     the committed pre-learning golden (tests/golden_catalog_learn_off.csv)
+#     and the default sweep the committed default golden
+#     (tests/golden_catalog.csv).
 #  2. Learning is deterministic: the default (--learn on) sweep emits the
 #     same bytes whatever the worker count or fault sharding.
 #  3. Learning helps, never loses faults: per circuit the fault total is
 #     unchanged against the --learn off rows, and across the full
 #     catalog the aborted sum does not grow. (Activity-driven decision
-#     ordering and restarts re-shuffle *which* faults exhaust the
-#     backtrack budget, so per-circuit counts may move in both
-#     directions; the totals are the invariants. The aborted-sum gate
-#     only holds at catalog scale — the heuristics are tuned for the
-#     abort-heavy big circuits and may cost a few aborts on a small
-#     easy subset — so the small scope checks fault totals only.)
+#     ordering re-shuffles *which* faults exhaust the backtrack budget, so
+#     per-circuit counts may move in both directions; the totals are the
+#     invariants. The aborted-sum gate only holds at catalog scale — the
+#     heuristics are tuned for the abort-heavy big circuits and may cost a
+#     few aborts on a small easy subset — so the small scope checks fault
+#     totals only.) Guarantee 1 already fixes both sweeps; this check
+#     keeps a regenerated golden honest.
 #
 # Registered by tests/CMakeLists.txt as two ctests:
 #   * cli_learning_determinism       — SCOPE=full: the whole catalog at
@@ -22,8 +24,8 @@
 #     fast enough for the ThreadSanitizer CI job (which is what exercises
 #     the clause machinery under -fsanitize=thread).
 #
-# Usage: cmake -DGDF_ATPG=<path> -DGOLDEN=<csv> -DSCOPE=<full|small> -P
-#        check_learning_determinism.cmake
+# Usage: cmake -DGDF_ATPG=<path> -DGOLDEN_OFF=<csv> -DGOLDEN_ON=<csv>
+#        -DSCOPE=<full|small> -P check_learning_determinism.cmake
 
 if(SCOPE STREQUAL "small")
   set(circuits --circuit s27 --circuit s298 --circuit c17)
@@ -43,30 +45,41 @@ function(run_sweep out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
-# --- 1. --learn off against the committed golden ---------------------------
+# A golden file covers the whole catalog; the small scope keeps its header
+# plus the rows of the circuits it sweeps.
+function(read_golden path out_var)
+  file(READ ${path} golden_all)
+  if(SCOPE STREQUAL "small")
+    string(REPLACE "\n" ";" golden_lines "${golden_all}")
+    set(golden "circuit,tested,untestable,aborted,patterns\n")
+    foreach(line IN LISTS golden_lines)
+      if(line MATCHES "^(s27|s298|c17),")
+        string(APPEND golden "${line}\n")
+      endif()
+    endforeach()
+  else()
+    set(golden "${golden_all}")
+  endif()
+  set(${out_var} "${golden}" PARENT_SCOPE)
+endfunction()
+
+# --- 1. both modes against their committed goldens --------------------------
 run_sweep(off_out --learn off)
-file(READ ${GOLDEN} golden_all)
-if(SCOPE STREQUAL "small")
-  # The golden file covers the whole catalog; keep its header plus the
-  # rows of the circuits this scope sweeps.
-  string(REPLACE "\n" ";" golden_lines "${golden_all}")
-  set(golden "circuit,tested,untestable,aborted,patterns\n")
-  foreach(line IN LISTS golden_lines)
-    if(line MATCHES "^(s27|s298|c17),")
-      string(APPEND golden "${line}\n")
-    endif()
-  endforeach()
-else()
-  set(golden "${golden_all}")
-endif()
+read_golden(${GOLDEN_OFF} golden)
 if(NOT off_out STREQUAL golden)
-  message(FATAL_ERROR "--learn off no longer matches the golden catalog:\n"
+  message(FATAL_ERROR "--learn off no longer matches its golden catalog:\n"
                       "=== --learn off ===\n${off_out}\n"
+                      "=== golden ===\n${golden}")
+endif()
+run_sweep(on_j1 --jobs 1)
+read_golden(${GOLDEN_ON} golden)
+if(NOT on_j1 STREQUAL golden)
+  message(FATAL_ERROR "the default sweep no longer matches its golden "
+                      "catalog:\n=== default ===\n${on_j1}\n"
                       "=== golden ===\n${golden}")
 endif()
 
 # --- 2. default learning is worker/shard independent -----------------------
-run_sweep(on_j1 --jobs 1)
 run_sweep(on_j3 --jobs 3)
 if(NOT on_j1 STREQUAL on_j3)
   message(FATAL_ERROR "--learn rows depend on --jobs:\n"
@@ -123,7 +136,7 @@ if(NOT SCOPE STREQUAL "small" AND on_aborted_sum GREATER off_aborted_sum)
                       "(${off_aborted_sum} -> ${on_aborted_sum})")
 endif()
 
-message(STATUS "learning determinism holds: --learn off matches the "
-               "golden, default rows are worker/shard independent, fault "
+message(STATUS "learning determinism holds: both modes match their "
+               "goldens, default rows are worker/shard independent, fault "
                "totals are stable; aborted sum ${off_aborted_sum} -> "
                "${on_aborted_sum}")

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "base/cancel.hpp"
-#include "base/clause_arena.hpp"
 #include "base/error.hpp"
 #include "base/fault_injection.hpp"
 #include "base/rng.hpp"
@@ -13,23 +12,6 @@
 
 namespace gdf {
 namespace {
-
-TEST(ClauseArena, TiersStampAndActivity) {
-  base::ClauseArena arena;
-  EXPECT_EQ(base::ClauseArena::tier_of(0), base::ClauseTier::Core);
-  EXPECT_EQ(base::ClauseArena::tier_of(2), base::ClauseTier::Core);
-  EXPECT_EQ(base::ClauseArena::tier_of(3), base::ClauseTier::Mid);
-  EXPECT_EQ(base::ClauseArena::tier_of(6), base::ClauseTier::Mid);
-  EXPECT_EQ(base::ClauseArena::tier_of(7), base::ClauseTier::Local);
-  const base::ClauseLit lits[] = {{1, 0x3}, {2, 0x5}};
-  const std::size_t c = arena.add(lits, 4);
-  EXPECT_EQ(arena.lbd(c), 4u);
-  EXPECT_EQ(arena.activity(c), 0.0);
-  arena.bump_activity(c, 1.5);
-  EXPECT_EQ(arena.activity(c), 1.5);
-  arena.scale_activities(0.5);
-  EXPECT_EQ(arena.activity(c), 0.75);
-}
 
 TEST(Error, CheckThrowsWithMessage) {
   EXPECT_NO_THROW(check(true, "fine"));

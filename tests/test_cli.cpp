@@ -54,8 +54,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--lanes"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
   EXPECT_NE(text.find("--learned-limit"), std::string::npos);
-  EXPECT_NE(text.find("--restarts"), std::string::npos);
-  EXPECT_NE(text.find("--restart-base"), std::string::npos);
   EXPECT_NE(text.find("--on-error"), std::string::npos);
   EXPECT_NE(text.find("--fault-budget"), std::string::npos);
   EXPECT_NE(text.find("--journal"), std::string::npos);
@@ -139,7 +137,9 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
        {std::initializer_list<const char*>{"--all", "--learn", "shared"},
         std::initializer_list<const char*>{"--all", "--per-fault-seconds",
                                            "1"},
-        std::initializer_list<const char*>{"--all", "--adi-sequences", "8"}}) {
+        std::initializer_list<const char*>{"--all", "--adi-sequences", "8"},
+        std::initializer_list<const char*>{"--all", "--restarts", "off"},
+        std::initializer_list<const char*>{"--all", "--restart-base", "8"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);
@@ -147,20 +147,6 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
       EXPECT_EQ(e.kind(), ErrorKind::Input) << e.what();
     }
   }
-}
-
-TEST(ArgsTest, RestartPolicyChoices) {
-  EXPECT_EQ(parse({"--all"}).atpg.local.restarts,
-            tdgen::RestartPolicy::Luby);
-  EXPECT_EQ(parse({"--all", "--restarts", "luby"}).atpg.local.restarts,
-            tdgen::RestartPolicy::Luby);
-  EXPECT_EQ(parse({"--all", "--restarts", "off"}).atpg.local.restarts,
-            tdgen::RestartPolicy::Off);
-  EXPECT_THROW(parse({"--all", "--restarts", "geometric"}), Error);
-  EXPECT_EQ(parse({"--all"}).atpg.local.restart_base, 32);
-  EXPECT_EQ(parse({"--all", "--restart-base", "8"}).atpg.local.restart_base,
-            8);
-  EXPECT_THROW(parse({"--all", "--restart-base", "0"}), Error);
 }
 
 TEST(ArgsTest, ShardFlags) {
