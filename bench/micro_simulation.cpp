@@ -38,60 +38,33 @@ void BM_ScalarFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarFrame);
 
-template <unsigned K>
-void run_parallel_frame(benchmark::State& state) {
+void BM_ParallelFrame64Lanes(benchmark::State& state) {
   const net::Netlist nl = circuits::load_circuit("s838");
-  const sim::ParallelSimN<K> simulator(nl);
+  const sim::ParallelSim3 simulator(nl);
   Rng rng(7);
-  const auto random_binary = [&rng](sim::WordN<K>& w) {
-    for (unsigned p = 0; p < K; ++p) {
-      w.ones[p] = rng.next();
-      w.zeros[p] = ~w.ones[p];
-    }
+  const auto random_binary = [&rng](sim::Word3& w) {
+    w.ones = rng.next();
+    w.zeros = ~w.ones;
   };
-  std::vector<sim::WordN<K>> pis(nl.inputs().size());
+  std::vector<sim::Word3> pis(nl.inputs().size());
   for (auto& w : pis) {
     random_binary(w);
   }
-  std::vector<sim::WordN<K>> st(nl.dffs().size());
+  std::vector<sim::Word3> st(nl.dffs().size());
   for (auto& w : st) {
     random_binary(w);
   }
-  std::vector<sim::WordN<K>> lines;
+  std::vector<sim::Word3> lines;
   for (auto _ : state) {
     simulator.eval_frame(pis, st, lines);
     simulator.next_state(lines, st);
     benchmark::DoNotOptimize(st.data());
   }
-  // 64*K machines per pass; gate-evals/s is items_per_second. The AVX2
-  // flag lets run_benchmarks.sh gate its lane-ladder speedup assertion on
-  // hosts actually built with wide vectors.
+  // 64 machines per pass; gate-evals/s is items_per_second.
   state.SetItemsProcessed(state.iterations() * static_cast<long>(nl.size()) *
-                          sim::WordN<K>::kLanes);
-#ifdef __AVX2__
-  state.counters["avx2_build"] = 1;
-#else
-  state.counters["avx2_build"] = 0;
-#endif
-}
-
-void BM_ParallelFrame64Lanes(benchmark::State& state) {
-  run_parallel_frame<1>(state);
+                          64);
 }
 BENCHMARK(BM_ParallelFrame64Lanes);
-
-// The WordN<K> lane ladder: identical kernel, K planes per rail. On SIMD
-// builds the per-plane loops vectorize, so gate-evals/s should scale well
-// past the one-word baseline.
-void BM_ParallelFrameLanes256(benchmark::State& state) {
-  run_parallel_frame<4>(state);
-}
-BENCHMARK(BM_ParallelFrameLanes256);
-
-void BM_ParallelFrameLanes512(benchmark::State& state) {
-  run_parallel_frame<8>(state);
-}
-BENCHMARK(BM_ParallelFrameLanes512);
 
 void BM_ImplicationFixpoint(benchmark::State& state) {
   // One decision/undo cycle of the incremental engine: push a level,

@@ -150,18 +150,17 @@ std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
                                         std::span<const ForcedLane> lanes,
                                         std::span<VSet> stop_values) const {
   const std::size_t n_nodes = model_->node_count();
-  const unsigned words = lane_words_;
-  GDF_ASSERT(lanes.size() <= 8u * words,
-             "too many scenarios for this packed sweep capacity");
+  GDF_ASSERT(lanes.size() <= kPackedLanes,
+             "too many scenarios for one packed sweep");
   GDF_ASSERT(baseline.size() == n_nodes, "baseline size mismatch");
 
-  // One byte lane per scenario, `words` packed 64-bit words per node;
+  // One byte lane per scenario, one packed 64-bit word per node;
   // lane_dirty_[id] is the lane bitmask of scenarios whose value at `id`
   // differs from the shared baseline. Clean lanes read the baseline and
   // all per-node lane state is epoch-stamped, so a sweep touches only the
   // union of the (possibly truncated) cones.
-  if (packed_.size() < n_nodes * words) {
-    packed_.resize(n_nodes * words, 0);
+  if (packed_.size() < n_nodes) {
+    packed_.resize(n_nodes, 0);
     lane_dirty_.resize(n_nodes, 0);
     lane_forced_.resize(n_nodes, 0);
     lane_stamp_.resize(n_nodes, 0);
@@ -170,9 +169,7 @@ std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
   const auto touch = [&](NodeId id) {
     if (lane_stamp_[id] != lane_epoch_) {
       lane_stamp_[id] = lane_epoch_;
-      for (unsigned w = 0; w < words; ++w) {
-        packed_[id * words + w] = 0;
-      }
+      packed_[id] = 0;
       lane_dirty_[id] = 0;
       lane_forced_[id] = 0;
     }
@@ -181,12 +178,11 @@ std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
     return lane_stamp_[id] == lane_epoch_ ? lane_dirty_[id] : 0;
   };
   const auto packed_get = [&](NodeId id, unsigned lane) -> VSet {
-    return static_cast<VSet>(packed_[id * words + lane / 8] >>
-                             (8 * (lane % 8)));
+    return static_cast<VSet>(packed_[id] >> (8 * lane));
   };
   const auto packed_put = [&](NodeId id, unsigned lane, VSet v) {
-    std::uint64_t& word = packed_[id * words + lane / 8];
-    const unsigned shift = 8 * (lane % 8);
+    std::uint64_t& word = packed_[id];
+    const unsigned shift = 8 * lane;
     word = (word & ~(std::uint64_t{0xFF} << shift)) |
            (std::uint64_t{v} << shift);
   };

@@ -8,7 +8,6 @@
 // analysis.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -40,19 +39,12 @@ VSet vset_primary_from_frames(int initial_bit, int final_bit);
 
 class TwoFrameSim {
  public:
-  /// `packed_lanes` caps the scenario count of one forced_sweep call
-  /// (rounded up to whole 64-bit words of eight VSet byte lanes, at most
-  /// 64). The default keeps the classic one-word batches; TDsim passes
-  /// the configured backend ladder width through so wider backends batch
-  /// more stems per cone sweep.
-  explicit TwoFrameSim(const AtpgModel& model, const DelayAlgebra& algebra,
-                       unsigned packed_lanes = 8)
-      : model_(&model),
-        algebra_(&algebra),
-        lane_words_(std::min(8u, (std::max(packed_lanes, 1u) + 7) / 8)) {}
+  /// Scenario capacity of one forced_sweep call: eight VSet byte lanes
+  /// packed into one 64-bit word per node.
+  static constexpr unsigned kPackedLanes = 8;
 
-  /// Scenario capacity of one packed sweep (8 * lane words, at most 64).
-  unsigned packed_lane_capacity() const { return 8 * lane_words_; }
+  explicit TwoFrameSim(const AtpgModel& model, const DelayAlgebra& algebra)
+      : model_(&model), algebra_(&algebra) {}
 
   /// Computes the value set of every node. `fault` may be null for a
   /// fault-free pass. Sets over-approximate reachable values, so a result
@@ -102,8 +94,8 @@ class TwoFrameSim {
   };
 
   /// Batched run_forced over a shared fault-free baseline: up to
-  /// packed_lane_capacity() independent scenarios evaluated in one packed
-  /// cone sweep (one byte lane per scenario, eight lanes per 64-bit word).
+  /// kPackedLanes independent scenarios evaluated in one packed cone sweep
+  /// (one byte lane per scenario).
   /// For lanes without a stop node, the returned bitmask has bit i set
   /// when scenario i forces a carrier-only value at some primary output.
   /// For lanes with one, stop_values[i] (which must have one entry per
@@ -129,8 +121,6 @@ class TwoFrameSim {
 
   const AtpgModel* model_;
   const DelayAlgebra* algebra_;
-  /// 64-bit words of packed VSet byte lanes per node (see forced_sweep).
-  unsigned lane_words_ = 1;
   /// Scratch for the cone-replay paths (not thread-safe, like the engines
   /// that own this simulator). The worklist resets in O(previous wave),
   /// so replays carry no per-call O(nodes) cost.

@@ -136,8 +136,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
         throw Error("--tdsim expects 'exact' or 'cpt', got '" + engine +
                     "'");
       }
-    } else if (arg == "--lanes") {
-      config.atpg.lanes = sim::parse_lanes(value_of(i, arg));
     } else if (arg == "--no-fault-dropping") {
       config.atpg.fault_dropping = false;
     } else if (arg == "--no-branch-faults") {
@@ -298,10 +296,6 @@ std::string usage() {
       "      --tdsim ENGINE      phase-3 fault simulation engine:\n"
       "                          'cpt' (critical path tracing, default)\n"
       "                          or 'exact' (per-fault injection)\n"
-      "      --lanes WIDTH       simulation backend lane width: 'auto'\n"
-      "                          (probe the CPU vector width, default),\n"
-      "                          '64', '256' or '512'; results are\n"
-      "                          byte-identical for every width\n"
       "\n"
       "robust execution:\n"
       "      --on-error POLICY   what a failing cell does: 'abort' (fail\n"

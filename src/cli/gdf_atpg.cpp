@@ -33,7 +33,6 @@
 #include "core/report.hpp"
 #include "run/journal.hpp"
 #include "run/sweep.hpp"
-#include "sim/lanes.hpp"
 
 namespace gdf::cli {
 namespace {
@@ -91,13 +90,7 @@ int run(const DriverConfig& config) {
         }
         std::printf("%s\n", text.c_str());
         if (config.stage_stats && row.error.empty() && !row.replayed) {
-          // The active backend is a per-run choice (auto probes the CPU),
-          // so it prints with the stage counters, never in the row bytes.
-          const unsigned lanes =
-              sim::resolve_lane_count(config.atpg.lanes);
-          std::printf("  sim backend            %s (%u lanes)\n%s\n",
-                      sim::lane_backend_name(lanes), lanes,
-                      core::format_stage_stats(row.stages).c_str());
+          std::printf("%s\n", core::format_stage_stats(row.stages).c_str());
         }
         std::fflush(stdout);
         if (!row.replayed) {

@@ -1,7 +1,6 @@
 #include "core/context.hpp"
 
 #include "netlist/fanout.hpp"
-#include "sim/backend.hpp"
 
 namespace gdf::core {
 
@@ -34,11 +33,6 @@ const alg::DelayAlgebra& CircuitContext::algebra(alg::Mode mode) const {
     nonrobust_algebra_ = alg::shared_algebra(alg::Mode::NonRobust);
   });
   return *nonrobust_algebra_;
-}
-
-std::unique_ptr<sim::SimBackend> CircuitContext::make_sim_backend(
-    sim::LaneSpec spec) const {
-  return sim::make_sim_backend(flat_, sim::resolve_lane_count(spec));
 }
 
 bool CircuitContext::structurally_compatible(

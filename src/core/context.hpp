@@ -25,10 +25,6 @@
 #include "sim/flat_circuit.hpp"
 #include "tdgen/fault.hpp"
 
-namespace gdf::sim {
-class SimBackend;
-}  // namespace gdf::sim
-
 namespace gdf::core {
 
 class CircuitContext {
@@ -58,16 +54,8 @@ class CircuitContext {
   /// so a robust-only process never builds the non-robust tables.
   const alg::DelayAlgebra& algebra(alg::Mode mode) const;
 
-  /// True when `options` would derive this exact structure. Lane width
-  /// (options.lanes) is deliberately not structural: every backend
-  /// computes identical results, so contexts are shared across widths.
+  /// True when `options` would derive this exact structure.
   bool structurally_compatible(const AtpgOptions& options) const;
-
-  /// Builds a batched simulation backend over the shared flat form at the
-  /// spec's resolved lane width — the seam a GPU drop-in reimplements
-  /// (see sim/backend.hpp). Each caller owns its backend; the context
-  /// stays immutable.
-  std::unique_ptr<sim::SimBackend> make_sim_backend(sim::LaneSpec spec) const;
 
   CircuitContext(const CircuitContext&) = delete;
   CircuitContext& operator=(const CircuitContext&) = delete;

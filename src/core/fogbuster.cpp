@@ -140,9 +140,8 @@ Fogbuster::Fogbuster(std::shared_ptr<const CircuitContext> context,
       options_(options),
       algebra_(&ctx_->algebra(options.mode)),
       fill_rng_(options.fill_seed),
-      fausim_(ctx_->flat(), options.lanes),
-      tdsim_(ctx_->model(), *algebra_,
-             sim::packed_stem_lanes(sim::resolve_lane_count(options.lanes))) {
+      fausim_(ctx_->flat()),
+      tdsim_(ctx_->model(), *algebra_) {
   check(ctx_->structurally_compatible(options_),
         "Fogbuster: context was built under different structural options "
         "(expand_branches / fault_sites)");
@@ -480,7 +479,7 @@ void Fogbuster::apply_test(const TestSequence& sequence,
   }
   // Attribute the dropping pass's kernel work while apply_test is still
   // the serialized step, so sequential and sharded runs accumulate the
-  // same per-backend counters in the same order.
+  // same kernel counters in the same order.
   result->stages.sim.add(fausim_.take_kernel_counters());
 }
 

@@ -67,9 +67,9 @@ struct StageStats {
   // searches, so new counters flow through every merge site unchanged.
   tdgen::SearchCounters search;
 
-  // Simulation-kernel counters, attributed per backend (scalar phase 1
-  // and each WordN rung of the lane ladder), so sweeps can tell which
-  // kernel the fault-simulation time went to (--stages prints them).
+  // Fault-simulation kernel counters (scalar phase 1 and the 64-lane
+  // phase 2), so sweeps can tell where the fault-simulation work went
+  // (--stages prints them).
   sim::KernelCounters sim;
 
   /// Accumulates another run's (or fault's) counters into this one.

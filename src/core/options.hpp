@@ -48,9 +48,7 @@ struct AtpgOptions {
   /// exactly; exposing the choice makes that checkable from the CLI.
   TdsimEngine tdsim_engine = TdsimEngine::Cpt;
 
-  /// Lane-width cap for the batched simulation backends (--lanes). A pure
-  /// per-run knob: every width computes bit-identical results, so it never
-  /// enters the structural compatibility predicate or the sweep memo keys.
+  // kept for perfbench; drop at the next benchmark change
   sim::LaneSpec lanes;
 
   /// Conflict-driven learning mode for the two-frame search. Off

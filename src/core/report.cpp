@@ -72,8 +72,7 @@ std::string format_stage_stats(const StageStats& s) {
      << s.search.probe_full << ")\n"
      << "  probe memo             hits " << s.search.probe_memo_hits << "\n"
      << "  sim kernel evals       scalar " << s.sim.scalar_evals
-     << ", w64 " << s.sim.lane_evals_64 << ", w256 "
-     << s.sim.lane_evals_256 << ", w512 " << s.sim.lane_evals_512;
+     << ", lanes " << s.sim.lane_evals_64;
   return os.str();
 }
 

@@ -1,6 +1,8 @@
 #include "fausim/fausim.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "base/error.hpp"
 
@@ -8,14 +10,11 @@ namespace gdf::fausim {
 
 using sim::Lv;
 
-Fausim::Fausim(const net::Netlist& nl, sim::LaneSpec lanes)
-    : Fausim(sim::FlatCircuit::build(nl), lanes) {}
+Fausim::Fausim(const net::Netlist& nl)
+    : Fausim(sim::FlatCircuit::build(nl)) {}
 
-Fausim::Fausim(std::shared_ptr<const sim::FlatCircuit> fc,
-               sim::LaneSpec lanes)
-    : fc_(std::move(fc)),
-      scalar_(fc_),
-      max_lanes_(sim::resolve_lane_count(lanes)) {}
+Fausim::Fausim(std::shared_ptr<const sim::FlatCircuit> fc, sim::LaneSpec)
+    : fc_(std::move(fc)), scalar_(fc_), packed_(fc_) {}
 
 Fausim::GoodTrace Fausim::simulate_good(std::span<const sim::InputVec> frames,
                                         Rng& rng) const {
@@ -45,22 +44,6 @@ Fausim::GoodTrace Fausim::simulate_good(std::span<const sim::InputVec> frames,
   return trace;
 }
 
-sim::SimBackend& Fausim::backend_for(std::size_t flip_count) const {
-  // Smallest rung that runs the whole pass in one block, capped by the
-  // configured width. 64*K - 1 faulty machines fit a K-plane rung (lane 0
-  // is the good machine).
-  static constexpr unsigned kRungLanes[3] = {64, 256, 512};
-  std::size_t rung = 0;
-  while (rung + 1 < 3 && kRungLanes[rung + 1] <= max_lanes_ &&
-         kRungLanes[rung] - 1 < flip_count) {
-    ++rung;
-  }
-  if (backends_[rung] == nullptr) {
-    backends_[rung] = sim::make_sim_backend(fc_, kRungLanes[rung]);
-  }
-  return *backends_[rung];
-}
-
 std::vector<bool> Fausim::ppo_observability(
     const sim::StateVec& state_after_fast,
     std::span<const sim::InputVec> propagation_frames) const {
@@ -81,34 +64,77 @@ std::vector<bool> Fausim::ppo_observability(
     return observable;
   }
 
-  sim::SimBackend& backend = backend_for(flippable.size());
-  backend.load_frames(propagation_frames);
-  const std::size_t per_pass = backend.lanes() - 1;
-  for (std::size_t begin = 0; begin < flippable.size(); begin += per_pass) {
-    const std::size_t count =
-        std::min(per_pass, flippable.size() - begin);
-    backend.run_pass(state_after_fast,
-                     std::span<const std::size_t>(flippable)
-                         .subspan(begin, count),
-                     observable);
+  // Every lane applies the same PIs: broadcast each frame once for all
+  // passes.
+  const std::size_t n_pi = fc_->inputs().size();
+  pi_words_.resize(propagation_frames.size());
+  for (std::size_t f = 0; f < propagation_frames.size(); ++f) {
+    GDF_ASSERT(propagation_frames[f].size() == n_pi, "PI size mismatch");
+    pi_words_[f].resize(n_pi);
+    for (std::size_t i = 0; i < n_pi; ++i) {
+      pi_words_[f][i] = sim::w3_broadcast(propagation_frames[f][i]);
+    }
+  }
+  // Lane 0 is the good machine, so 63 faulty machines run per pass.
+  constexpr std::size_t kPerPass = 63;
+  for (std::size_t begin = 0; begin < flippable.size(); begin += kPerPass) {
+    const std::size_t count = std::min(kPerPass, flippable.size() - begin);
+    run_pass(state_after_fast,
+             std::span<const std::size_t>(flippable).subspan(begin, count),
+             observable);
   }
   return observable;
 }
 
+void Fausim::run_pass(const sim::StateVec& state_after_fast,
+                      std::span<const std::size_t> flipped,
+                      std::vector<bool>& observable) const {
+  GDF_ASSERT(flipped.size() < 64, "too many flips per pass");
+  // Lane 0 replays the good machine; lane 1 + l flips one captured bit.
+  state_.resize(state_after_fast.size());
+  for (std::size_t i = 0; i < state_after_fast.size(); ++i) {
+    state_[i] = sim::w3_broadcast(state_after_fast[i]);
+  }
+  for (std::size_t l = 0; l < flipped.size(); ++l) {
+    const std::size_t ff = flipped[l];
+    const Lv bad = state_after_fast[ff] == Lv::One ? Lv::Zero : Lv::One;
+    sim::w3_set_lane(state_[ff], static_cast<unsigned>(l + 1), bad);
+  }
+
+  // Lanes of this pass whose difference has not reached a PO yet.
+  std::uint64_t pending = ((std::uint64_t{1} << flipped.size()) - 1) << 1;
+  for (const std::vector<sim::Word3>& pis : pi_words_) {
+    packed_.eval_frame(pis, state_, lines_);
+    lane_evals_ += static_cast<long>(fc_->body_count()) * 64;
+    for (const net::GateId po : fc_->outputs()) {
+      const sim::Word3& w = lines_[po];
+      // A lane differs from the good machine when both are definite and
+      // opposite: good 1 => the lane's zero rail, good 0 => its one rail.
+      const bool good_one = (w.ones & 1u) != 0;
+      const bool good_zero = (w.zeros & 1u) != 0;
+      if (!good_one && !good_zero) {
+        continue;
+      }
+      std::uint64_t hits = (good_one ? w.zeros : w.ones) & pending;
+      pending &= ~hits;
+      while (hits != 0) {
+        const unsigned bit = static_cast<unsigned>(__builtin_ctzll(hits));
+        hits &= hits - 1;
+        observable[flipped[bit - 1]] = true;
+      }
+    }
+    if (pending == 0) {
+      break;  // every lane of this pass already observed
+    }
+    packed_.next_state(lines_, next_);
+    state_.swap(next_);
+  }
+}
+
 sim::KernelCounters Fausim::take_kernel_counters() {
   sim::KernelCounters out;
-  out.scalar_evals = scalar_evals_;
-  scalar_evals_ = 0;
-  long* buckets[3] = {&out.lane_evals_64, &out.lane_evals_256,
-                      &out.lane_evals_512};
-  for (std::size_t rung = 0; rung < 3; ++rung) {
-    if (backends_[rung] == nullptr) {
-      continue;
-    }
-    const long total = backends_[rung]->lane_gate_evals();
-    *buckets[rung] = total - harvested_lane_evals_[rung];
-    harvested_lane_evals_[rung] = total;
-  }
+  out.scalar_evals = std::exchange(scalar_evals_, 0);
+  out.lane_evals_64 = std::exchange(lane_evals_, 0);
   return out;
 }
 

@@ -6,39 +6,33 @@
 //  2. "stuck-at fault simulation" of the propagation phase: a D value is
 //     injected at each pseudo primary output that is not steady, and the
 //     propagation frames are simulated to find which PPOs are observable
-//     at a primary output. All injections run in batched dual-rail passes
-//     (one lane per flip-flop plus the good machine).
+//     at a primary output. All injections run in batched 64-lane
+//     dual-rail passes (sim/parallel3): lane 0 is the good machine, the
+//     other 63 each flip one captured flip-flop bit.
 //
 // Phase 3 (delay-fault critical path tracing inside the fast frame) lives
 // in TDsim.
-//
-// Phase 2 runs behind the pluggable SimBackend seam (sim/backend.hpp):
-// the configured --lanes value caps the rung of the WordN ladder, and each
-// pass picks the smallest rung that covers its flip count in one block, so
-// narrow state vectors never pay for planes they cannot fill. Every rung
-// computes identical verdicts — lanes are independent machines — so the
-// choice never shows in the results, only in the kernel counters.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "base/rng.hpp"
-#include "sim/backend.hpp"
 #include "sim/flat_circuit.hpp"
 #include "sim/lanes.hpp"
+#include "sim/parallel3.hpp"
 #include "sim/seq_sim.hpp"
 
 namespace gdf::fausim {
 
 class Fausim {
  public:
-  explicit Fausim(const net::Netlist& nl, sim::LaneSpec lanes = {});
+  explicit Fausim(const net::Netlist& nl);
   /// Shares an already-built flat circuit form.
   explicit Fausim(std::shared_ptr<const sim::FlatCircuit> fc,
-                  sim::LaneSpec lanes = {});
+                  // kept for perfbench; drop at the next benchmark change
+                  sim::LaneSpec = {});
 
   struct GoodTrace {
     /// Input vectors with every X bit filled randomly (what the tester
@@ -64,31 +58,32 @@ class Fausim {
       const sim::StateVec& state_after_fast,
       std::span<const sim::InputVec> propagation_frames) const;
 
-  /// The configured rung of the lane ladder (what --stages reports); a
-  /// pass may run on a narrower rung when its flip count fits one.
-  unsigned max_lanes() const { return max_lanes_; }
-  const char* backend_name() const {
-    return sim::lane_backend_name(max_lanes_);
-  }
-
-  /// Kernel work since the last harvest, attributed per backend; resets
-  /// the counters. Serialized by the caller like the simulators' scratch.
+  /// Kernel work since the last harvest; resets the counters. Serialized
+  /// by the caller like the simulators' scratch.
   sim::KernelCounters take_kernel_counters();
 
   const net::Netlist& netlist() const { return fc_->netlist(); }
 
  private:
-  sim::SimBackend& backend_for(std::size_t flip_count) const;
+  /// One 64-lane pass over the loaded PI words: lane 1 + l flips
+  /// state_after_fast[flipped[l]], and every flip whose difference
+  /// reaches a primary output sets observable[flipped[l]].
+  void run_pass(const sim::StateVec& state_after_fast,
+                std::span<const std::size_t> flipped,
+                std::vector<bool>& observable) const;
 
   std::shared_ptr<const sim::FlatCircuit> fc_;
   sim::SeqSimulator scalar_;
-  unsigned max_lanes_;
-  /// Lazily-built ladder rungs (64/256/512 lanes) and per-rung harvest
-  /// snapshots. Instance-local scratch behind the const API, like the
-  /// scalar engine's buffers — never shared across threads.
-  mutable std::array<std::unique_ptr<sim::SimBackend>, 3> backends_;
+  sim::ParallelSim3 packed_;
+  /// Pass scratch behind the const API, like the scalar engine's buffers —
+  /// never shared across threads. pi_words_ holds the propagation frames'
+  /// PIs broadcast to every lane, converted once per observability call.
+  mutable std::vector<std::vector<sim::Word3>> pi_words_;
+  mutable std::vector<sim::Word3> state_;
+  mutable std::vector<sim::Word3> lines_;
+  mutable std::vector<sim::Word3> next_;
   mutable long scalar_evals_ = 0;
-  std::array<long, 3> harvested_lane_evals_ = {0, 0, 0};
+  mutable long lane_evals_ = 0;
 };
 
 }  // namespace gdf::fausim

@@ -34,10 +34,8 @@ std::vector<long> accidental_detection_counts(
     const core::CircuitContext& ctx, const core::AtpgOptions& options) {
   const net::Netlist& nl = ctx.netlist();
   const alg::DelayAlgebra& algebra = ctx.algebra(options.mode);
-  fausim::Fausim fausim(ctx.flat(), options.lanes);
-  const tdsim::Tdsim tdsim(
-      ctx.model(), algebra,
-      sim::packed_stem_lanes(sim::resolve_lane_count(options.lanes)));
+  fausim::Fausim fausim(ctx.flat());
+  const tdsim::Tdsim tdsim(ctx.model(), algebra);
   // Decorrelated from the X-fill stream of the actual runs, but still a
   // pure function of the user's seed.
   Rng rng(options.fill_seed ^ 0xAD1AD1AD1AD1AD1AULL);

@@ -49,8 +49,7 @@ std::uint64_t fnv1a64(std::string_view text) {
 
 std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout) {
   // Everything that fixes the canonical job list and the emitted row
-  // layout, one line per job. Lane width is deliberately absent (it never
-  // changes the bytes); the wall-time column is part of the layout.
+  // layout, one line per job; the wall-time column is part of the layout.
   std::ostringstream os;
   os << "layout=" << (csv_layout ? "csv" : "table")
      << " seconds=" << (spec.include_seconds ? 1 : 0)

@@ -1,55 +1,34 @@
-// Lane-width selection for the batched simulation backends (--lanes).
-//
-// A LaneSpec is a per-run knob, never a structural one: every backend
-// computes bit-identical verdicts (lanes are independent machines), so the
-// choice may differ between hosts — `auto` probes the CPU's vector width —
-// without perturbing a single output byte. It therefore must not enter
-// CircuitContext::structurally_compatible or the sweep memo keys.
+// Fault-simulation kernel counters, plus the inert lane-width names the
+// benchmark still compiles against. FAUSIM phase 2 runs one 64-lane
+// dual-rail kernel (sim/parallel3) and TDsim packs eight scenarios into
+// one 64-bit word per node; nothing selects a width.
 #pragma once
-
-#include <cstdint>
-#include <string_view>
 
 namespace gdf::sim {
 
-struct LaneSpec {
-  enum class Width : std::uint8_t { Auto = 0, W64, W256, W512 };
-  Width width = Width::Auto;
+// kept for perfbench; drop at the next benchmark change
+struct LaneSpec {};
 
-  bool operator==(const LaneSpec&) const = default;
-};
+// kept for perfbench; drop at the next benchmark change
+inline unsigned resolve_lane_count(LaneSpec) { return 64; }
 
-/// Parses a --lanes value: auto | 64 | 256 | 512. Throws gdf::Error.
-LaneSpec parse_lanes(std::string_view text);
-
-/// The concrete lane count the spec selects on this host: 64, 256 or 512.
-/// Auto probes the CPU (AVX-512 => 512, AVX2 => 256, else 64).
-unsigned resolve_lane_count(LaneSpec spec);
-
-/// Backend display name for a resolved lane count ("word64" | "word256" |
-/// "word512").
-const char* lane_backend_name(unsigned lanes);
-
-/// Packed byte-lane capacity of the CPT stem sweeps for a resolved lane
-/// count: eight VSet byte lanes per 64-bit word, one word per plane, so
-/// the stem batches scale with the same ladder (8 | 32 | 64).
+// kept for perfbench; drop at the next benchmark change
 inline unsigned packed_stem_lanes(unsigned lanes) { return lanes / 8; }
 
-/// Gate-evaluation counters attributed per kernel, so sweeps can tell
-/// which backend the simulation time went to (--stages prints them).
-/// Lane-evals count bodies * active lanes; the scalar bucket counts plain
-/// five-valued body evaluations.
+/// Gate-evaluation counters of the fault simulator (--stages prints
+/// them). The scalar bucket counts plain five-valued body evaluations;
+/// lane_evals_64 counts bodies * 64 lanes of the dual-rail kernel.
 struct KernelCounters {
   long scalar_evals = 0;    ///< phase-1 scalar good-machine kernel
-  long lane_evals_64 = 0;   ///< WordN<1> backend (64 lanes)
-  long lane_evals_256 = 0;  ///< WordN<4> backend (256 lanes)
-  long lane_evals_512 = 0;  ///< WordN<8> backend (512 lanes)
+  long lane_evals_64 = 0;   ///< phase-2 64-lane kernel
+  // kept for perfbench; drop at the next benchmark change
+  long lane_evals_256 = 0;
+  // kept for perfbench; drop at the next benchmark change
+  long lane_evals_512 = 0;
 
   void add(const KernelCounters& other) {
     scalar_evals += other.scalar_evals;
     lane_evals_64 += other.lane_evals_64;
-    lane_evals_256 += other.lane_evals_256;
-    lane_evals_512 += other.lane_evals_512;
   }
 };
 

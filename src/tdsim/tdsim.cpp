@@ -165,10 +165,9 @@ std::vector<bool> Tdsim::detect_cpt(
 
   // One descending pass interleaves the chain composition with the stem
   // corrections: both only ever read marks of higher-id nodes. Stems batch
-  // into one packed sweep (two polarities each, so half the packed lane
-  // capacity in stems per sweep); a batch flushes early whenever a mark it
-  // would feed is needed.
-  const std::size_t stems_per_sweep = sim_.packed_lane_capacity() / 2;
+  // into one packed sweep (two polarities each, so four stems per sweep);
+  // a batch flushes early whenever a mark it would feed is needed.
+  constexpr std::size_t kStemsPerSweep = alg::TwoFrameSim::kPackedLanes / 2;
   struct PendingStem {
     NodeId stem;
     NodeId dom;
@@ -225,7 +224,7 @@ std::vector<bool> Tdsim::detect_cpt(
       // dominates.
       pending.push_back({id, model_->idom(id)});
       stem_pending[id] = true;
-      if (pending.size() == stems_per_sweep) {
+      if (pending.size() == kStemsPerSweep) {
         flush();
       }
       continue;

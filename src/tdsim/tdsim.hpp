@@ -22,6 +22,7 @@
 
 #include "algebra/frame_sim.hpp"
 #include "algebra/model.hpp"
+#include "base/error.hpp"
 #include "tdgen/fault.hpp"
 
 namespace gdf::tdsim {
@@ -39,18 +40,14 @@ struct TdsimRequest {
 
 class Tdsim {
  public:
-  /// `stem_lanes` caps the packed byte-lane count of one CPT stem sweep
-  /// (two lanes per stem — one per polarity). The default keeps the
-  /// classic one-word batches of four stems; callers on a wider WordN
-  /// backend ladder pass sim::packed_stem_lanes(lanes) through so a sweep
-  /// corrects up to 32 stems at once. The batch size never changes the
-  /// verdicts — lanes are independent scenarios and the descending fill
-  /// order resolves dominators first at any capacity.
   explicit Tdsim(const alg::AtpgModel& model,
-                 const alg::DelayAlgebra& algebra, unsigned stem_lanes = 8)
-      : model_(&model),
-        algebra_(&algebra),
-        sim_(model, algebra, stem_lanes) {}
+                 const alg::DelayAlgebra& algebra,
+                 // kept for perfbench; drop at the next benchmark change
+                 unsigned stem_lanes = alg::TwoFrameSim::kPackedLanes)
+      : model_(&model), algebra_(&algebra), sim_(model, algebra) {
+    GDF_ASSERT(stem_lanes == alg::TwoFrameSim::kPackedLanes,
+               "CPT stem sweeps pack exactly one 64-bit word");
+  }
 
   /// Reference engine: exact injection per fault.
   std::vector<bool> detect_exact(

@@ -9,7 +9,6 @@
 #include "cli/args.hpp"
 #include "core/delay_atpg.hpp"
 #include "netlist/bench_io.hpp"
-#include "sim/lanes.hpp"
 
 namespace gdf::cli {
 namespace {
@@ -51,7 +50,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
   EXPECT_NE(text.find("--shard-faults"), std::string::npos);
   EXPECT_NE(text.find("--shard-epoch"), std::string::npos);
-  EXPECT_NE(text.find("--lanes"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
   EXPECT_NE(text.find("--learned-limit"), std::string::npos);
   EXPECT_NE(text.find("--on-error"), std::string::npos);
@@ -99,27 +97,6 @@ TEST(ArgsTest, RobustFlagsReachTheSweepSpec) {
   EXPECT_FALSE(plain.disable_memo);
 }
 
-TEST(ArgsTest, LaneWidthChoices) {
-  using sim::LaneSpec;
-  EXPECT_EQ(parse({"--all"}).atpg.lanes.width, LaneSpec::Width::Auto);
-  EXPECT_EQ(parse({"--all", "--lanes", "auto"}).atpg.lanes.width,
-            LaneSpec::Width::Auto);
-  EXPECT_EQ(parse({"--all", "--lanes", "64"}).atpg.lanes.width,
-            LaneSpec::Width::W64);
-  EXPECT_EQ(parse({"--all", "--lanes", "256"}).atpg.lanes.width,
-            LaneSpec::Width::W256);
-  EXPECT_EQ(parse({"--all", "--lanes", "512"}).atpg.lanes.width,
-            LaneSpec::Width::W512);
-  EXPECT_THROW(parse({"--all", "--lanes", "128"}), Error);
-  EXPECT_THROW(parse({"--all", "--lanes", "wide"}), Error);
-  // Every explicit width resolves to itself; auto resolves to a real one.
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W64}), 64u);
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W256}), 256u);
-  EXPECT_EQ(sim::resolve_lane_count({LaneSpec::Width::W512}), 512u);
-  const unsigned probed = sim::resolve_lane_count({});
-  EXPECT_TRUE(probed == 64 || probed == 256 || probed == 512);
-}
-
 TEST(ArgsTest, LearnModeChoices) {
   EXPECT_EQ(parse({"--all"}).atpg.learn, core::LearnMode::On);
   EXPECT_EQ(parse({"--all", "--learn", "on"}).atpg.learn,
@@ -139,7 +116,8 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
                                            "1"},
         std::initializer_list<const char*>{"--all", "--adi-sequences", "8"},
         std::initializer_list<const char*>{"--all", "--restarts", "off"},
-        std::initializer_list<const char*>{"--all", "--restart-base", "8"}}) {
+        std::initializer_list<const char*>{"--all", "--restart-base", "8"},
+        std::initializer_list<const char*>{"--all", "--lanes", "64"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);

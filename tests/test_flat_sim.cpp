@@ -1,12 +1,10 @@
-// Scalar/packed equivalence of the flat simulation engine across the whole
-// WordN<K> lane ladder: randomized sequences over every catalog circuit
-// must produce identical line values, next states, fault-injection (post
-// hook) effects, and PPO observability in the scalar five-valued engine
-// and every batched dual-rail rung (64/256/512 lanes) — all thin
-// instantiations of the same levelized kernel over sim::FlatCircuit.
+// Scalar/packed equivalence of the flat simulation engine: randomized
+// sequences over every catalog circuit must produce identical line values,
+// next states, fault-injection (post hook) effects, and PPO observability
+// in the scalar five-valued engine and the 64-lane dual-rail engine — both
+// thin instantiations of the same levelized kernel over sim::FlatCircuit.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "fausim/fausim.hpp"
 #include "netlist/builder.hpp"
 #include "sim/flat_circuit.hpp"
-#include "sim/lanes.hpp"
 #include "sim/parallel3.hpp"
 #include "sim/seq_sim.hpp"
 
@@ -27,30 +24,29 @@ Lv random_three_valued(Rng& rng) {
   return r == 0 ? Lv::Zero : (r == 1 ? Lv::One : Lv::X);
 }
 
-/// Packs per-lane three-valued vectors into dual-rail lane blocks.
-template <unsigned K>
-std::vector<WordN<K>> pack_lanes(const std::vector<std::vector<Lv>>& lanes) {
+constexpr unsigned kLanes = 64;
+
+/// Packs per-lane three-valued vectors into dual-rail lane words.
+std::vector<Word3> pack_lanes(const std::vector<std::vector<Lv>>& lanes) {
   const std::size_t width = lanes.empty() ? 0 : lanes[0].size();
-  std::vector<WordN<K>> words(width);
+  std::vector<Word3> words(width);
   for (std::size_t i = 0; i < width; ++i) {
     for (std::size_t l = 0; l < lanes.size(); ++l) {
-      wn_set_lane(words[i], static_cast<unsigned>(l), lanes[l][i]);
+      w3_set_lane(words[i], static_cast<unsigned>(l), lanes[l][i]);
     }
   }
   return words;
 }
 
 /// Every lane of every catalog circuit must match the scalar engine, at
-/// full lane occupancy of the K-plane rung.
-template <unsigned K>
-void scalar_packed_equivalence(int frames_per_circuit, std::uint64_t seed) {
-  Rng rng(seed);
-  constexpr unsigned kLanes = WordN<K>::kLanes;
+/// full lane occupancy.
+TEST(FlatSimTest, ScalarAndPackedAgreeOnEveryCatalogCircuit) {
+  Rng rng(20260730);
   for (const std::string& name : circuits::catalog_names()) {
     const net::Netlist nl = circuits::load_circuit(name);
     const auto fc = FlatCircuit::build(nl);
     const SeqSimulator scalar(fc);
-    const ParallelSimN<K> packed(fc);
+    const ParallelSim3 packed(fc);
 
     std::vector<std::vector<Lv>> lane_state(
         kLanes, std::vector<Lv>(nl.dffs().size()));
@@ -59,9 +55,9 @@ void scalar_packed_equivalence(int frames_per_circuit, std::uint64_t seed) {
         v = random_three_valued(rng);
       }
     }
-    std::vector<WordN<K>> state_words = pack_lanes<K>(lane_state);
+    std::vector<Word3> state_words = pack_lanes(lane_state);
 
-    for (int frame = 0; frame < frames_per_circuit; ++frame) {
+    for (int frame = 0; frame < 4; ++frame) {
       std::vector<std::vector<Lv>> lane_pis(
           kLanes, std::vector<Lv>(nl.inputs().size()));
       for (auto& pis : lane_pis) {
@@ -69,54 +65,38 @@ void scalar_packed_equivalence(int frames_per_circuit, std::uint64_t seed) {
           v = random_three_valued(rng);
         }
       }
-      const std::vector<WordN<K>> pi_words = pack_lanes<K>(lane_pis);
+      const std::vector<Word3> pi_words = pack_lanes(lane_pis);
 
-      std::vector<WordN<K>> packed_lines;
+      std::vector<Word3> packed_lines;
       packed.eval_frame(pi_words, state_words, packed_lines);
 
       std::vector<Lv> scalar_lines;
       for (unsigned l = 0; l < kLanes; ++l) {
         scalar.eval_frame(lane_pis[l], lane_state[l], scalar_lines);
         for (net::GateId g = 0; g < nl.size(); ++g) {
-          ASSERT_EQ(wn_lane(packed_lines[g], l), scalar_lines[g])
-              << name << " K " << K << " frame " << frame << " lane " << l
-              << " line " << nl.gate(g).name;
+          ASSERT_EQ(w3_lane(packed_lines[g], l), scalar_lines[g])
+              << name << " frame " << frame << " lane " << l << " line "
+              << nl.gate(g).name;
         }
         lane_state[l] = scalar.next_state(scalar_lines);
       }
       packed.next_state(packed_lines, state_words);
-      const std::vector<WordN<K>> expect_state = pack_lanes<K>(lane_state);
+      const std::vector<Word3> expect_state = pack_lanes(lane_state);
       for (std::size_t k = 0; k < nl.dffs().size(); ++k) {
-        for (unsigned p = 0; p < K; ++p) {
-          ASSERT_EQ(state_words[k].ones[p], expect_state[k].ones[p])
-              << name << " K " << K << " next state ff " << k;
-          ASSERT_EQ(state_words[k].zeros[p], expect_state[k].zeros[p])
-              << name << " K " << K << " next state ff " << k;
-        }
+        ASSERT_EQ(state_words[k].ones, expect_state[k].ones)
+            << name << " next state ff " << k;
+        ASSERT_EQ(state_words[k].zeros, expect_state[k].zeros)
+            << name << " next state ff " << k;
       }
     }
   }
 }
 
-TEST(FlatSimTest, ScalarAndPackedAgreeOnEveryCatalogCircuit) {
-  scalar_packed_equivalence<1>(4, 20260730);
-}
-
-TEST(FlatSimTest, ScalarAndPacked256AgreeOnEveryCatalogCircuit) {
-  scalar_packed_equivalence<4>(2, 20260731);
-}
-
-TEST(FlatSimTest, ScalarAndPacked512AgreeOnEveryCatalogCircuit) {
-  scalar_packed_equivalence<8>(2, 20260801);
-}
-
 /// The fault-injection hook of eval_flat: forcing values at body outputs
 /// (the scalar engine's Injection path and FAUSIM's phase-2 idiom) must
-/// behave identically lane-wise on every rung.
-template <unsigned K>
-void post_hook_equivalence(std::uint64_t seed) {
-  Rng rng(seed);
-  constexpr unsigned kLanes = WordN<K>::kLanes;
+/// behave identically lane-wise.
+TEST(FlatSimTest, FaultInjectionPostHookAgreesLaneWise) {
+  Rng rng(95001);
   for (const std::string& name : circuits::catalog_names()) {
     const net::Netlist nl = circuits::load_circuit(name);
     const auto fcp = FlatCircuit::build(nl);
@@ -145,21 +125,20 @@ void post_hook_equivalence(std::uint64_t seed) {
     }
 
     // Packed pass with the wordwise post hook.
-    std::vector<WordN<K>> lines(fc.line_count());
-    const std::vector<WordN<K>> pi_words = pack_lanes<K>(lane_pis);
-    const std::vector<WordN<K>> state_words = pack_lanes<K>(lane_state);
+    std::vector<Word3> lines(fc.line_count());
+    const std::vector<Word3> pi_words = pack_lanes(lane_pis);
+    const std::vector<Word3> state_words = pack_lanes(lane_state);
     for (std::size_t i = 0; i < pi_words.size(); ++i) {
       lines[fc.inputs()[i]] = pi_words[i];
     }
     for (std::size_t i = 0; i < state_words.size(); ++i) {
       lines[fc.dffs()[i]] = state_words[i];
     }
-    eval_flat(fc, WordNOps<K>{}, lines.data(),
-              [&](net::GateId out, WordN<K>& v) {
-                if (is_site(out)) {
-                  v = wn_not(v);
-                }
-              });
+    eval_flat(fc, Word3Ops{}, lines.data(), [&](net::GateId out, Word3& v) {
+      if (is_site(out)) {
+        v = w3_not(v);
+      }
+    });
 
     // Scalar reference, one lane at a time, with the same injection.
     const auto scalar_not = [](Lv v) {
@@ -179,24 +158,11 @@ void post_hook_equivalence(std::uint64_t seed) {
         }
       });
       for (net::GateId g = 0; g < nl.size(); ++g) {
-        ASSERT_EQ(wn_lane(lines[g], l), ref[g])
-            << name << " K " << K << " lane " << l << " line "
-            << nl.gate(g).name;
+        ASSERT_EQ(w3_lane(lines[g], l), ref[g])
+            << name << " lane " << l << " line " << nl.gate(g).name;
       }
     }
   }
-}
-
-TEST(FlatSimTest, FaultInjectionPostHookAgreesLaneWise64) {
-  post_hook_equivalence<1>(95001);
-}
-
-TEST(FlatSimTest, FaultInjectionPostHookAgreesLaneWise256) {
-  post_hook_equivalence<4>(95002);
-}
-
-TEST(FlatSimTest, FaultInjectionPostHookAgreesLaneWise512) {
-  post_hook_equivalence<8>(95003);
 }
 
 /// Scalar reference for phase-2 observability: one good/faulty twin replay
@@ -235,12 +201,7 @@ std::vector<bool> scalar_ppo_observability(
   return observable;
 }
 
-/// The --lanes ladder a cross-backend test sweeps.
-const LaneSpec kLadder[] = {LaneSpec{LaneSpec::Width::W64},
-                            LaneSpec{LaneSpec::Width::W256},
-                            LaneSpec{LaneSpec::Width::W512}};
-
-TEST(FlatSimTest, PpoObservabilityMatchesScalarTwinReplayOnEveryBackend) {
+TEST(FlatSimTest, PpoObservabilityMatchesScalarTwinReplay) {
   Rng rng(95);
   for (const std::string& name : circuits::catalog_names()) {
     const net::Netlist nl = circuits::load_circuit(name);
@@ -248,6 +209,7 @@ TEST(FlatSimTest, PpoObservabilityMatchesScalarTwinReplayOnEveryBackend) {
       continue;  // combinational: no PPOs to observe
     }
     const SeqSimulator scalar(nl);
+    const fausim::Fausim fausim(nl);
 
     for (int trial = 0; trial < 3; ++trial) {
       StateVec state(nl.dffs().size());
@@ -262,22 +224,15 @@ TEST(FlatSimTest, PpoObservabilityMatchesScalarTwinReplayOnEveryBackend) {
       }
       const std::vector<bool> reference =
           scalar_ppo_observability(scalar, state, frames);
-      for (const LaneSpec spec : kLadder) {
-        const fausim::Fausim fausim(nl, spec);
-        const std::vector<bool> batched =
-            fausim.ppo_observability(state, frames);
-        ASSERT_EQ(batched, reference)
-            << name << " trial " << trial << " lanes "
-            << resolve_lane_count(spec);
-      }
+      ASSERT_EQ(fausim.ppo_observability(state, frames), reference)
+          << name << " trial " << trial;
     }
   }
 }
 
-/// A wide-state machine (more flip-flops than one or even four planes of
-/// faulty lanes) so the multi-plane passes and the 64-lane multi-block
-/// path genuinely cross word boundaries. Mixed AND/OR/XOR observation
-/// trees give non-trivial masking.
+/// A wide-state machine (more flip-flops than one pass has faulty lanes)
+/// so the multi-pass path genuinely crosses word boundaries. Mixed
+/// AND/OR/XOR observation trees give non-trivial masking.
 net::Netlist wide_state_machine(std::size_t n_ff, std::size_t n_pi,
                                 std::size_t n_po, std::size_t window) {
   net::NetlistBuilder b("wide");
@@ -309,12 +264,11 @@ net::Netlist wide_state_machine(std::size_t n_ff, std::size_t n_pi,
   return b.build();
 }
 
-TEST(FlatSimTest, WideStatePpoObservabilityAgreesAcrossBackends) {
-  // 300 definite-capable flip-flops: the 64-lane rung needs five blocks,
-  // the 256-lane rung two, and the 512-lane rung runs one pass with lanes
-  // in all eight planes.
+TEST(FlatSimTest, WideStatePpoObservabilityMatchesScalarTwinReplay) {
+  // 300 definite-capable flip-flops span five passes of 63 flips.
   const net::Netlist nl = wide_state_machine(300, 8, 10, 15);
   const SeqSimulator scalar(nl);
+  const fausim::Fausim fausim(nl);
   Rng rng(424242);
   for (int trial = 0; trial < 2; ++trial) {
     StateVec state(nl.dffs().size());
@@ -329,13 +283,9 @@ TEST(FlatSimTest, WideStatePpoObservabilityAgreesAcrossBackends) {
         v = rng.next_bool() ? Lv::One : Lv::Zero;
       }
     }
-    const std::vector<bool> reference =
-        scalar_ppo_observability(scalar, state, frames);
-    for (const LaneSpec spec : kLadder) {
-      const fausim::Fausim fausim(nl, spec);
-      ASSERT_EQ(fausim.ppo_observability(state, frames), reference)
-          << "trial " << trial << " lanes " << resolve_lane_count(spec);
-    }
+    ASSERT_EQ(fausim.ppo_observability(state, frames),
+              scalar_ppo_observability(scalar, state, frames))
+        << "trial " << trial;
   }
 }
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 
 #include "algebra/frame_sim.hpp"
@@ -191,50 +190,6 @@ TEST_F(C17FrameSim, ForcedSweepMaskMatchesRunForced) {
     }
     EXPECT_EQ((mask >> i & 1u) != 0, po_carrier) << "lane " << i;
   }
-}
-
-TEST_F(C17FrameSim, WideForcedSweepSpansPackedWords) {
-  // A 64-lane sweep packs 8 bytes per node; twelve lanes cross three
-  // packed words, and every lane's verdict must still match its own full
-  // forced replay — the invariant that lets tdsim batch stems at any
-  // width without changing verdicts.
-  TwoFrameSim wide(model_, robust_algebra(), 64);
-  EXPECT_EQ(wide.packed_lane_capacity(), 64u);
-  std::vector<VSet> baseline;
-  wide.run(robust_stimulus(), nullptr, baseline);
-  std::vector<TwoFrameSim::ForcedLane> lanes;
-  for (const char* name : {"N10", "N11", "N16", "N19", "N22", "N23"}) {
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::RiseC),
-                     kNoNode});
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::FallC),
-                     kNoNode});
-  }
-  ASSERT_GT(lanes.size(), 8u);  // must spill past one packed word
-  const std::uint64_t wide_mask = wide.forced_po_carrier_mask(baseline, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    std::vector<VSet> forced;
-    wide.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
-    bool po_carrier = false;
-    for (const NodeId obs : model_.observation_points()) {
-      if (!model_.node(obs).is_po) {
-        continue;
-      }
-      const VSet s = forced[obs];
-      if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
-        po_carrier = true;
-      }
-    }
-    EXPECT_EQ((wide_mask >> i & 1u) != 0, po_carrier) << "lane " << i;
-  }
-  // Chunked through the default 8-lane engine the verdicts are identical.
-  std::uint64_t chunked = 0;
-  for (std::size_t begin = 0; begin < lanes.size(); begin += 8) {
-    const std::size_t count = std::min<std::size_t>(8, lanes.size() - begin);
-    chunked |= sim_.forced_po_carrier_mask(
-                   baseline, {lanes.data() + begin, count})
-               << begin;
-  }
-  EXPECT_EQ(wide_mask, chunked);
 }
 
 TEST_F(C17FrameSim, StimulusSizeMismatchIsFatal) {

@@ -26,7 +26,6 @@
 #include "run/shard.hpp"
 #include "run/sweep.hpp"
 #include "run/thread_pool.hpp"
-#include "sim/lanes.hpp"
 #include "tdgen/tdgen.hpp"
 
 namespace gdf::run {
@@ -757,11 +756,6 @@ TEST(SweepFingerprintTest, PinsJobListAndLayout) {
   SweepSpec budgeted = spec;
   budgeted.base.fault_budget = 100;
   EXPECT_NE(base, sweep_fingerprint(budgeted, true));
-  // Lane width never changes the bytes, so it must not invalidate a
-  // journal.
-  SweepSpec lanes = spec;
-  lanes.base.lanes.width = sim::LaneSpec::Width::W64;
-  EXPECT_EQ(base, sweep_fingerprint(lanes, true));
 }
 
 class SweepFaultInjectionTest : public ::testing::Test {

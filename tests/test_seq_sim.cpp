@@ -100,12 +100,12 @@ TEST(ParallelSim3Test, MatchesScalarSimLaneWise) {
   std::vector<Word3> pi_words(n_pi), state_words(n_ff);
   for (std::size_t i = 0; i < n_pi; ++i) {
     for (unsigned l = 0; l < kLanes; ++l) {
-      wn_set_lane(pi_words[i], l, lane_pis[l][i]);
+      w3_set_lane(pi_words[i], l, lane_pis[l][i]);
     }
   }
   for (std::size_t i = 0; i < n_ff; ++i) {
     for (unsigned l = 0; l < kLanes; ++l) {
-      wn_set_lane(state_words[i], l, lane_state[l][i]);
+      w3_set_lane(state_words[i], l, lane_state[l][i]);
     }
   }
 
@@ -116,7 +116,7 @@ TEST(ParallelSim3Test, MatchesScalarSimLaneWise) {
   for (unsigned l = 0; l < kLanes; ++l) {
     scalar.eval_frame(lane_pis[l], lane_state[l], scalar_lines);
     for (net::GateId g = 0; g < nl.size(); ++g) {
-      EXPECT_EQ(wn_lane(packed[g], l), scalar_lines[g])
+      EXPECT_EQ(w3_lane(packed[g], l), scalar_lines[g])
           << "lane " << l << " gate " << nl.gate(g).name;
     }
   }

@@ -117,46 +117,6 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.circuit;
     });
 
-TEST(TdsimLaneLadder, CptVerdictsIdenticalAtEveryStemBatchWidth) {
-  // Stem batch width is a pure throughput knob: the packed sweep resolves
-  // dominator stems before the stems they dominate at any batch size, so
-  // CPT verdicts — and hence every CSV row — must be byte-identical
-  // whether stems flush 4, 16, or 32 at a time (8/32/64 packed lanes).
-  std::uint64_t seed = 2026;
-  for (const char* name : {"s298", "s386"}) {
-    const net::Netlist nl =
-        net::expand_fanout_branches(circuits::load_circuit(name));
-    const AtpgModel model(nl);
-    const Tdsim narrow(model, robust_algebra(), 8);
-    const Tdsim mid(model, robust_algebra(), 32);
-    const Tdsim wide(model, robust_algebra(), 64);
-    const auto faults = tdgen::enumerate_faults(nl);
-    Rng rng(++seed);
-
-    for (int pattern = 0; pattern < 6; ++pattern) {
-      TdsimRequest request;
-      request.stimulus.pi_sets.resize(nl.inputs().size());
-      for (VSet& s : request.stimulus.pi_sets) {
-        s = bits(static_cast<int>(rng.next_below(2)),
-                 static_cast<int>(rng.next_below(2)));
-      }
-      request.stimulus.ppi_sets.resize(nl.dffs().size());
-      for (VSet& s : request.stimulus.ppi_sets) {
-        s = bits(static_cast<int>(rng.next_below(2)),
-                 static_cast<int>(rng.next_below(2)));
-      }
-      request.observable_ppo.assign(nl.dffs().size(), true);
-      const auto exact = narrow.detect_exact(request, faults);
-      ASSERT_EQ(narrow.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 8";
-      ASSERT_EQ(mid.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 32";
-      ASSERT_EQ(wide.detect_cpt(request, faults), exact)
-          << name << " pattern " << pattern << " lanes 64";
-    }
-  }
-}
-
 TEST(TdsimPpoPaths, ObservabilityGatesPpoCredit) {
   // s27, fault G13 StR: G13 feeds only DFF G7 — detection must go through
   // PPO 2 and is only credited when that PPO is observable.
