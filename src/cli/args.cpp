@@ -144,13 +144,7 @@ DriverConfig parse_args(int argc, const char* const* argv) {
     } else if (arg == "--jobs" || arg == "-j") {
       config.jobs = static_cast<unsigned>(parse_int(arg, value_of(i, arg)));
     } else if (arg == "--shard-faults") {
-      const std::size_t epoch = config.shard.epoch_size;
       config.shard = run::parse_shard_faults(value_of(i, arg));
-      config.shard.epoch_size = epoch;  // flag order must not matter
-    } else if (arg == "--shard-epoch") {
-      const int epoch = parse_int(arg, value_of(i, arg));
-      check(epoch > 0, "--shard-epoch expects a positive epoch size");
-      config.shard.epoch_size = static_cast<std::size_t>(epoch);
     } else if (arg == "--bench-dir") {
       config.bench_dir = value_of(i, arg);
     } else if (arg == "--no-seconds") {
@@ -223,9 +217,6 @@ run::SweepSpec sweep_spec(const DriverConfig& config) {
   spec.include_seconds = !config.no_seconds;
   spec.shard = config.shard;
   spec.on_error = config.on_error;
-  // A journaled run must emit rows that replay verbatim; the memo trailer
-  // would make the concatenated bytes depend on which cells replayed.
-  spec.disable_memo = !config.journal.empty();
   return spec;
 }
 
@@ -256,8 +247,6 @@ std::string usage() {
       "                          into generation epochs on idle workers),\n"
       "                          'off', or a forced worker count [auto];\n"
       "                          bytes are independent of P\n"
-      "      --shard-epoch N     faults generated per epoch between\n"
-      "                          dropping barriers [4x workers]\n"
       "\n"
       "parameter matrices (comma-separated lists; the cross product runs\n"
       "per circuit and adds config columns to the CSV — requires --csv):\n"

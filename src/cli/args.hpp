@@ -33,12 +33,11 @@ struct DriverConfig {
   std::string journal;                ///< --journal FILE ("" = off)
   bool resume = false;                ///< --resume (requires --journal)
   core::AtpgOptions atpg;             ///< flow configuration (base cell)
-  /// Intra-circuit fault sharding (--shard-faults auto|N|off and
-  /// --shard-epoch). Defaults to auto: large circuits shard across idle
-  /// workers; the emitted bytes never depend on it.
+  /// Intra-circuit fault sharding (--shard-faults auto|N|off). Defaults
+  /// to auto: large circuits shard across idle workers; the emitted bytes
+  /// never depend on it.
   run::ShardConfig shard{.policy = run::ShardConfig::Policy::Auto,
                          .workers = 0,
-                         .epoch_size = 0,
                          .min_faults = 1500};
 
   // Parameter-matrix axes (comma-separated flag values). Empty = just the

@@ -107,13 +107,6 @@ int run(const DriverConfig& config) {
                                         : core::table3_header())
                                 .c_str());
       });
-  if (config.csv && stats.memo_reused_cells > 0) {
-    // CSV comment trailer; deterministic (producer-before-consumer
-    // scheduling fixes the hit counts). Only matrix sweeps have sibling
-    // cells, so plain catalog runs keep their legacy byte layout.
-    std::printf("# untestable-memo: reused_cells=%ld hits=%ld\n",
-                stats.memo_reused_cells, stats.memo_hits);
-  }
   if (stats.interrupted) {
     std::fprintf(stderr,
                  "gdf_atpg: interrupted — %ld of %ld rows completed%s\n",

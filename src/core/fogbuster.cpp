@@ -434,13 +434,6 @@ void Fogbuster::reset_run_state() {
   fill_rng_ = Rng(options_.fill_seed);
 }
 
-void Fogbuster::set_untestable_memo(
-    std::shared_ptr<const std::vector<bool>> memo) {
-  check(memo == nullptr || memo->size() == ctx_->faults().size(),
-        "Fogbuster: untestable memo size does not match the fault list");
-  memo_ = std::move(memo);
-}
-
 void Fogbuster::apply_test(const TestSequence& sequence,
                            FogbusterResult* result) {
   result->tests.push_back(sequence);
@@ -483,17 +476,12 @@ void Fogbuster::apply_test(const TestSequence& sequence,
   result->stages.sim.add(fausim_.take_kernel_counters());
 }
 
-void Fogbuster::merge_targeted(std::size_t i, bool memoized,
-                               FaultStatus status,
+void Fogbuster::merge_targeted(std::size_t i, bool inert, FaultStatus status,
                                const TestSequence& sequence,
                                const StageStats& stages,
                                FogbusterResult* result) {
+  GDF_ASSERT(!inert, "merge_targeted: the inert flag must be false");
   ++result->stages.targeted;
-  if (memoized) {
-    result->status[i] = FaultStatus::Untestable;
-    ++result->memo_hits;
-    return;
-  }
   result->stages.add(stages);
   result->status[i] = status;
   if (status == FaultStatus::Tested) {
@@ -515,14 +503,11 @@ FogbusterResult Fogbuster::run(std::span<const std::size_t> target_order) {
     if (result.status[i] != FaultStatus::Untested) {
       continue;
     }
-    const bool memoized = memo_ != nullptr && (*memo_)[i];
     TestSequence sequence;
     StageStats stages;
-    FaultStatus status = FaultStatus::Untested;
-    if (!memoized) {
-      status = generate_for_fault(result.faults[i], &sequence, &stages);
-    }
-    merge_targeted(i, memoized, status, sequence, stages, &result);
+    const FaultStatus status =
+        generate_for_fault(result.faults[i], &sequence, &stages);
+    merge_targeted(i, false, status, sequence, stages, &result);
   }
   result.seconds = watch.seconds();
   return result;

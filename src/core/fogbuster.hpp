@@ -85,9 +85,6 @@ struct FogbusterResult {
   std::size_t pattern_count = 0;     ///< paper's #pat column
   double seconds = 0.0;              ///< paper's time column
   StageStats stages;
-  /// Faults classified straight from a shared untestability memo instead
-  /// of a fresh TDgen search (see set_untestable_memo).
-  long memo_hits = 0;
 
   int count(FaultStatus s) const;
   int tested() const { return count(FaultStatus::Tested); }
@@ -165,21 +162,14 @@ class Fogbuster {
 
   /// The order-sensitive half of one targeting step, shared verbatim by
   /// run() and the epoch merge (run/shard) so the two can never drift:
-  /// counts the target, classifies via the memo (`memoized` mirrors
-  /// untestable_memo() for fault `i`) or adopts the generated verdict
-  /// plus its stage counters, and on success appends the test and runs
-  /// the dropping pass. `i` must still be Untested in `result`.
-  void merge_targeted(std::size_t i, bool memoized, FaultStatus status,
+  /// counts the target, adopts the generated verdict plus its stage
+  /// counters, and on success appends the test and runs the dropping
+  /// pass. `i` must still be Untested in `result`; `inert` must be false.
+  void merge_targeted(std::size_t i,
+                      // kept for perfbench; drop at the next benchmark change
+                      bool inert, FaultStatus status,
                       const TestSequence& sequence, const StageStats& stages,
                       FogbusterResult* result);
-
-  /// Shares a set of faults (by canonical index) already proven robustly
-  /// untestable for this context + generation configuration. Targeting
-  /// such a fault classifies it Untestable without a search; the verdict
-  /// is what the search would have produced, so results are unchanged —
-  /// only faster. Pass nullptr to clear.
-  void set_untestable_memo(std::shared_ptr<const std::vector<bool>> memo);
-  const std::vector<bool>* untestable_memo() const { return memo_.get(); }
 
  private:
   bool try_finalize(const tdgen::DelayFault& fault,
@@ -199,8 +189,6 @@ class Fogbuster {
   Rng fill_rng_;
   fausim::Fausim fausim_;
   tdsim::Tdsim tdsim_;
-  /// Optional shared untestability verdicts (see set_untestable_memo).
-  std::shared_ptr<const std::vector<bool>> memo_;
 };
 
 }  // namespace gdf::core

@@ -54,8 +54,7 @@ struct AtpgOptions {
   /// Conflict-driven learning mode for the two-frame search. Off
   /// reproduces the pre-learning search byte-for-byte (chronological
   /// backtracking, no clause database, no probe memo); On is documented
-  /// on LearnMode. Enters the sweep memo keys: different learn settings
-  /// never share untestable-fault memo groups.
+  /// on LearnMode.
   LearnMode learn = LearnMode::On;
 
   /// Cap on learned clauses per fault search (--learned-limit).
@@ -74,7 +73,7 @@ struct AtpgOptions {
 
   /// Cooperative cancellation (not a configuration knob): when wired, the
   /// flow and its searches poll the token and unwind with an Error of
-  /// kind Cancelled. Never part of memo or compatibility keys.
+  /// kind Cancelled. Never part of compatibility keys.
   const CancelToken* cancel = nullptr;
 };
 

@@ -39,9 +39,4 @@ core::FogbusterResult AtpgSession::run(ThreadPool& pool,
                      shard_epoch_size(shard, workers));
 }
 
-void AtpgSession::set_untestable_memo(
-    std::shared_ptr<const std::vector<bool>> memo) {
-  flow_.set_untestable_memo(std::move(memo));
-}
-
 }  // namespace gdf::run

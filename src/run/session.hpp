@@ -48,11 +48,6 @@ class AtpgSession {
   /// helps with its own epochs, so this is safe from inside pool tasks.
   core::FogbusterResult run(ThreadPool& pool, const ShardConfig& shard);
 
-  /// Shares untestability verdicts proven by an earlier run over the same
-  /// context + generation configuration (see Fogbuster::
-  /// set_untestable_memo; run/sweep publishes these per cell group).
-  void set_untestable_memo(std::shared_ptr<const std::vector<bool>> memo);
-
  private:
   std::shared_ptr<const core::CircuitContext> ctx_;
   core::AtpgOptions options_;

@@ -1,8 +1,8 @@
 #include "run/shard.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <exception>
-#include <utility>
 #include <vector>
 
 #include "base/error.hpp"
@@ -68,10 +68,7 @@ unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
   return 0;
 }
 
-std::size_t shard_epoch_size(const ShardConfig& config, unsigned workers) {
-  if (config.epoch_size > 0) {
-    return config.epoch_size;
-  }
+std::size_t shard_epoch_size(const ShardConfig&, unsigned workers) {
   // A few generation slices per worker amortize the barrier without
   // over-speculating past the next dropping passes.
   return std::max<std::size_t>(std::size_t{4} * workers, 16);
@@ -89,14 +86,12 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
   check(target_order.empty() || target_order.size() == n,
         "run_sharded: target order size does not match the fault list");
   flow.reset_run_state();
-  const std::vector<bool>* memo = flow.untestable_memo();
 
   /// One epoch entry: a speculatively generated verdict for fault
   /// `index`, merged (or discarded, when an epoch-mate's test dropped the
   /// fault first) at the barrier.
   struct Slice {
     std::size_t index = 0;
-    bool memoized = false;
     FaultStatus status = FaultStatus::Untested;
     core::TestSequence sequence;
     core::StageStats stages;
@@ -114,9 +109,7 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
     if (pool.cancel_requested()) {
       throw_cancelled();
     }
-    // Select the next still-untested faults in targeting order. Memoized
-    // faults join the epoch (their classification must happen in order at
-    // the merge) but skip speculative generation.
+    // Select the next still-untested faults in targeting order.
     epoch.clear();
     while (pos < n && epoch.size() < epoch_size) {
       const std::size_t i = target_order.empty() ? pos : target_order[pos];
@@ -124,10 +117,7 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
       if (result.status[i] != FaultStatus::Untested) {
         continue;
       }
-      Slice slice;
-      slice.index = i;
-      slice.memoized = memo != nullptr && (*memo)[i];
-      epoch.push_back(std::move(slice));
+      epoch.emplace_back().index = i;
     }
     if (epoch.empty()) {
       break;
@@ -139,9 +129,6 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
     // wedge the group accounting.
     ThreadPool::Group group;
     for (Slice& slice : epoch) {
-      if (slice.memoized) {
-        continue;
-      }
       pool.submit(group, [&flow, &slice] {
         try {
           slice.status = flow.generate_for_fault(
@@ -166,8 +153,8 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
       if (slice.error) {
         std::rethrow_exception(slice.error);
       }
-      flow.merge_targeted(slice.index, slice.memoized, slice.status,
-                          slice.sequence, slice.stages, &result);
+      flow.merge_targeted(slice.index, false, slice.status, slice.sequence,
+                          slice.stages, &result);
     }
   }
   result.seconds = watch.seconds();

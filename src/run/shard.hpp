@@ -52,8 +52,6 @@ struct ShardConfig {
   Policy policy = Policy::Off;
   /// Generation parallelism for Forced (Auto derives it from the pool).
   unsigned workers = 0;
-  /// Faults generated per epoch; 0 = scale with the worker count.
-  std::size_t epoch_size = 0;
   /// Auto only shards circuits with at least this many faults — below
   /// it the per-epoch barrier costs more than the parallelism returns.
   std::size_t min_faults = 1500;
@@ -71,9 +69,11 @@ std::string shard_faults_name(const ShardConfig& config);
 unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
                        std::size_t fault_count);
 
-/// The epoch size actually used (config override or the worker-scaled
-/// default).
-std::size_t shard_epoch_size(const ShardConfig& config, unsigned workers);
+/// Faults generated per epoch: max(4 x workers, 16). The ShardConfig
+/// parameter is ignored.
+std::size_t shard_epoch_size(
+    // kept for perfbench; drop at the next benchmark change
+    const ShardConfig&, unsigned workers);
 
 /// One complete ATPG run with epoch-sharded generation, byte-identical
 /// to flow.run(target_order). `epoch_size` must be at least 1.

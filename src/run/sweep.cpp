@@ -24,27 +24,20 @@ namespace gdf::run {
 
 namespace {
 
-/// Extracts kind + message from a parked worker exception (message may be
-/// null when only the kind is wanted).
+/// Extracts kind + message from a parked worker exception.
 void classify_error(const std::exception_ptr& error, ErrorKind* kind,
                     std::string* message) {
   try {
     std::rethrow_exception(error);
   } catch (const Error& e) {
     *kind = e.kind();
-    if (message != nullptr) {
-      *message = e.what();
-    }
+    *message = e.what();
   } catch (const std::exception& e) {
     *kind = ErrorKind::Internal;
-    if (message != nullptr) {
-      *message = e.what();
-    }
+    *message = e.what();
   } catch (...) {
     *kind = ErrorKind::Internal;
-    if (message != nullptr) {
-      *message = "unknown exception";
-    }
+    *message = "unknown exception";
   }
 }
 
@@ -103,53 +96,6 @@ struct CircuitSlot {
 const char* mode_name(alg::Mode mode) {
   return mode == alg::Mode::Robust ? "robust" : "nonrobust";
 }
-
-/// The slice of AtpgOptions the per-fault generation verdicts depend on.
-/// Cells of one circuit sharing this key classify every fault
-/// identically whatever their seed, targeting order, or dropping setting
-/// — an untestability verdict proven by one is ground truth for all.
-struct GenerationKey {
-  StructuralKey structure;
-  alg::Mode mode;
-  int local_backtracks;
-  long local_decisions;
-  int seq_backtracks;
-  int seq_prop_frames;
-  int seq_sync_frames;
-  long seq_decisions;
-  long fault_budget;
-  // Learning changes which faults abort, so cells with different learn
-  // settings must not share an untestable memo.
-  core::LearnMode learn;
-  int learned_limit;
-
-  explicit GenerationKey(const core::AtpgOptions& o)
-      : structure(o),
-        mode(o.mode),
-        local_backtracks(o.local.backtrack_limit),
-        local_decisions(o.local.decision_limit),
-        seq_backtracks(o.sequential.backtrack_limit),
-        seq_prop_frames(o.sequential.max_propagation_frames),
-        seq_sync_frames(o.sequential.max_sync_frames),
-        seq_decisions(o.sequential.decision_limit),
-        fault_budget(o.fault_budget),
-        learn(o.learn),
-        learned_limit(o.learned_limit) {}
-
-  bool operator==(const GenerationKey&) const = default;
-};
-
-/// Cells of one circuit sharing a GenerationKey. The canonically first
-/// cell (the producer) runs without a memo and publishes its untestable
-/// set at completion; the consumers are only submitted after that, so
-/// their memo view — and with it every byte they emit — is independent
-/// of worker timing.
-struct MemoGroup {
-  std::vector<std::size_t> members;  ///< canonical job indices, ascending
-  std::shared_ptr<const std::vector<bool>> verdicts;  ///< set by producer
-
-  std::size_t producer() const { return members.front(); }
-};
 
 }  // namespace
 
@@ -371,47 +317,6 @@ SweepStats run_sweep(const SweepSpec& spec,
   const std::vector<SweepJob> jobs = expand(spec);
   const std::size_t cells = spec.cells_per_circuit();
 
-  // Untestable-memo groups: per circuit, cells sharing a GenerationKey
-  // classify every fault identically, so all but the first redo pure
-  // re-derivation. Group them; the producer (canonically first member)
-  // publishes its untestable set after its cell completes, the consumers
-  // start only then. Journaled/resumed runs disable groups
-  // (spec.disable_memo / resume_done): a replayed producer has no verdict
-  // set to publish, and replayed bytes must not depend on memo state.
-  std::vector<std::unique_ptr<MemoGroup>> groups;
-  std::vector<MemoGroup*> group_of(jobs.size(), nullptr);
-  if (!spec.disable_memo && spec.resume_done.empty()) {
-    std::vector<std::pair<GenerationKey, MemoGroup*>> keyed;
-    for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-      keyed.clear();
-      for (std::size_t c = 0; c < cells; ++c) {
-        const std::size_t ji = slot * cells + c;
-        const GenerationKey key(jobs[ji].options);
-        MemoGroup* group = nullptr;
-        for (auto& [k, g] : keyed) {
-          if (k == key) {
-            group = g;
-            break;
-          }
-        }
-        if (group == nullptr) {
-          groups.push_back(std::make_unique<MemoGroup>());
-          group = groups.back().get();
-          keyed.emplace_back(key, group);
-        }
-        group->members.push_back(ji);
-        group_of[ji] = group;
-      }
-    }
-    // Singleton groups have nobody to share with — drop them so plain
-    // (non-matrix) sweeps never touch the memo machinery.
-    for (MemoGroup*& group : group_of) {
-      if (group != nullptr && group->members.size() < 2) {
-        group = nullptr;
-      }
-    }
-  }
-
   // Indexed result channel: workers publish at their canonical position,
   // the caller drains in order. A slot is either a row, an exception, or
   // (after cancellation) deliberately empty — the emission loop reads an
@@ -484,21 +389,17 @@ SweepStats run_sweep(const SweepSpec& spec,
           width,
           static_cast<unsigned>(std::max<std::size_t>(1, jobs.size())));
     }
-    // One cell of work. Defined recursively via std::function because a
-    // producer submits its consumers from inside its own task. Declared
-    // before the pool so it is still alive while the pool's destructor
-    // joins workers whose producer tails call it.
-    std::function<void(std::size_t)> submit_job;
     ThreadPool pool(width);
     pool.set_cancel_token(spec.cancel);
 
-    submit_job = [&](std::size_t ji) {
+    for (const std::size_t ji : submission) {
+      if (channel[ji].ready) {
+        continue;  // replayed from the journal
+      }
       pool.submit([&, ji] {
         const SweepJob& job = jobs[ji];
         CircuitSlot* slot = slots[ji / cells].get();
-        MemoGroup* group = group_of[ji];
         Cell cell;
-        ErrorKind error_kind = ErrorKind::Internal;
         {
           const std::lock_guard<std::mutex> lock(mutex);
           if (cancelled || cancel_requested(spec.cancel)) {
@@ -509,7 +410,6 @@ SweepStats run_sweep(const SweepSpec& spec,
           // The circuit never loaded (skip/retry already spent its
           // retries up front): every cell of the slot carries that error.
           cell.error = slot->load_error;
-          classify_error(cell.error, &error_kind, nullptr);
           cell.ready = true;
         }
         if (!cell.ready) {
@@ -523,10 +423,6 @@ SweepStats run_sweep(const SweepSpec& spec,
               fi::fire_cell_throw(job.circuit.label);
               AtpgSession session(slot->context_for(job.options),
                                   job.options, job.order);
-              if (group != nullptr && ji != group->producer() &&
-                  group->verdicts != nullptr) {
-                session.set_untestable_memo(group->verdicts);
-              }
               const core::FogbusterResult result = session.run(pool,
                                                                spec.shard);
               cell.row = std::make_unique<SweepRow>();
@@ -534,20 +430,6 @@ SweepStats run_sweep(const SweepSpec& spec,
               cell.row->table =
                   core::make_table3_row(job.circuit.label, result);
               cell.row->stages = result.stages;
-              cell.row->memo_hits = result.memo_hits;
-              if (group != nullptr && ji == group->producer()) {
-                // Publish-after-cell: the verdict set becomes visible
-                // only as a completed whole, and only then do the
-                // consumers enter the pool (the submission lock orders
-                // the write).
-                auto verdicts = std::make_shared<std::vector<bool>>(
-                    result.status.size(), false);
-                for (std::size_t f = 0; f < result.status.size(); ++f) {
-                  (*verdicts)[f] =
-                      result.status[f] == core::FaultStatus::Untestable;
-                }
-                group->verdicts = std::move(verdicts);
-              }
             } catch (const Error& e) {
               // Only Resource failures (transient I/O) are worth
               // re-running: Input/Internal are deterministic and
@@ -560,7 +442,6 @@ SweepStats run_sweep(const SweepSpec& spec,
                 continue;
               }
               cell.error = std::current_exception();
-              error_kind = e.kind();
             } catch (...) {
               cell.error = std::current_exception();
             }
@@ -568,41 +449,12 @@ SweepStats run_sweep(const SweepSpec& spec,
           }
           cell.ready = true;
         }
-        const bool cell_failed = cell.error != nullptr;
         {
           const std::lock_guard<std::mutex> lock(mutex);
           channel[ji] = std::move(cell);
         }
         published.notify_all();
-        // A failed producer under skip/retry still submits its consumers
-        // (memo-less): their rows are wanted past the producer's error
-        // row, and nobody else will start them. Under abort — or on
-        // cancellation — emission stops at the producer's earlier
-        // canonical index and never waits on the consumers.
-        const bool unblock_consumers =
-            cell_failed && spec.on_error.mode != ErrorPolicy::Mode::Abort &&
-            error_kind != ErrorKind::Cancelled;
-        if (group != nullptr && ji == group->producer() &&
-            (group->verdicts != nullptr || unblock_consumers)) {
-          for (const std::size_t consumer : group->members) {
-            if (consumer != ji) {
-              submit_job(consumer);
-            }
-          }
-        }
       });
-    };
-
-    for (const std::size_t ji : submission) {
-      // Replayed cells are already published; consumers wait for their
-      // producer's published memo; everyone else starts now.
-      const MemoGroup* group = group_of[ji];
-      if (channel[ji].ready) {
-        continue;
-      }
-      if (group == nullptr || ji == group->producer()) {
-        submit_job(ji);
-      }
     }
 
     // Deterministic emission: row i is handed out only after rows 0..i-1,
@@ -656,10 +508,6 @@ SweepStats run_sweep(const SweepSpec& spec,
       stats.retries += cell.attempts - 1;
       if (cell.row->replayed) {
         ++stats.replayed_cells;
-      }
-      if (cell.row->memo_hits > 0) {
-        stats.memo_hits += cell.row->memo_hits;
-        ++stats.memo_reused_cells;
       }
     }
   }  // joins the pool before the channel goes out of scope

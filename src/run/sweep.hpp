@@ -12,11 +12,12 @@
 // they complete: workers publish into an indexed channel and the calling
 // thread emits row i only after rows 0..i-1. Per-job results depend only
 // on that job's options (each job is one AtpgSession with its own RNG and
-// engines; contexts are shared read-only), so the emitted bytes are
-// identical for any worker count — the determinism ctest asserts jobs=1
-// versus jobs=4.
+// engines; contexts are shared read-only), so a matrix cell's row and
+// stage counters equal those of the same cell swept alone, and the
+// emitted bytes are identical for any worker count — the determinism
+// ctest asserts jobs=1 versus jobs=4.
 //
-// Three scheduling layers keep the wall time down without touching the
+// Two scheduling layers keep the wall time down without touching the
 // bytes:
 //  * Longest-job-first submission: cells run in descending size-based
 //    cost order (the canonical emission channel hides the reordering), so
@@ -24,13 +25,6 @@
 //  * Intra-circuit fault sharding (spec.shard): a cell whose circuit
 //    qualifies fans its fault list into generation epochs on the same
 //    pool instead of occupying one worker (see run/shard.hpp).
-//  * The untestable-fault memo: cells differing only in seed, targeting
-//    order, or dropping re-derive identical untestability verdicts; the
-//    first such cell (in canonical order) runs alone and publishes its
-//    verdict set at cell completion, and only then are its sibling cells
-//    submitted, each reusing the memo. Publish-after-cell plus
-//    producer-before-consumer scheduling keeps hit counts and bytes
-//    deterministic under any worker count.
 #pragma once
 
 #include <cstdint>
@@ -124,12 +118,8 @@ struct SweepSpec {
   /// Canonical indices replayed from a journal (--resume): these cells
   /// are not executed; their rows come back with SweepRow::replayed set
   /// and only job/index meaningful — the caller re-emits its journaled
-  /// text. Non-empty lists disable the untestable memo (a replayed
-  /// producer has no verdicts to publish).
+  /// text.
   std::vector<std::size_t> resume_done;
-  /// Disables untestable-memo groups outright (journaled runs: replay
-  /// must not depend on memo trailer state).
-  bool disable_memo = false;
 
   /// Cells per circuit (product of the axis sizes).
   std::size_t cells_per_circuit() const;
@@ -152,8 +142,6 @@ struct SweepRow {
   SweepJob job;
   core::Table3Row table;
   core::StageStats stages;
-  /// Faults this cell classified via the shared untestable memo.
-  long memo_hits = 0;
   /// Nonempty = the cell failed under --on-error skip/retry; the table
   /// and stage fields are empty and the row renders as a deterministic
   /// `# error:` line (see format_sweep_error_row).
@@ -168,8 +156,6 @@ struct SweepRow {
 
 /// Whole-sweep outcome counters (deterministic for a given spec).
 struct SweepStats {
-  long memo_hits = 0;          ///< untestable verdicts reused, summed
-  long memo_reused_cells = 0;  ///< cells with at least one memo hit
   long total_cells = 0;        ///< canonical job count of the spec
   long emitted = 0;            ///< rows handed to emit (incl. error rows)
   long error_cells = 0;        ///< cells that emitted `# error:` rows
@@ -203,8 +189,8 @@ std::string format_sweep_error_row(const SweepRow& row);
 /// circuit has loaded and validated but before any job — the place to
 /// print a header, so a bad circuit name aborts cleanly without partial
 /// output (under skip/retry a failed circuit load instead yields error
-/// rows for that circuit's cells). The returned stats summarize memo
-/// reuse, error containment and interruption.
+/// rows for that circuit's cells). The returned stats summarize error
+/// containment and interruption.
 SweepStats run_sweep(const SweepSpec& spec,
                      const std::function<void(const SweepRow&)>& emit,
                      const std::function<void()>& on_ready = {});

@@ -6,14 +6,13 @@
 #                                   paper configuration (the acceptance
 #                                   sweep of ISSUE 4);
 #   * cli_shard_determinism_small — SCOPE=small: two mid-size circuits
-#                                   with a tiny epoch, cheap enough for
-#                                   the ThreadSanitizer CI job.
+#                                   at the default epoch of 16, cheap
+#                                   enough for the ThreadSanitizer CI job.
 #
 # Usage: cmake -DGDF_ATPG=<path> -DSCOPE=<full|small> -P check_shard_determinism.cmake
 
 if(SCOPE STREQUAL "small")
-  set(sweep_args --circuit s298 --circuit s344 --csv --no-seconds
-      --jobs 2 --shard-epoch 5)
+  set(sweep_args --circuit s298 --circuit s344 --csv --no-seconds --jobs 2)
 else()
   set(sweep_args --all --csv --no-seconds --jobs 2)
 endif()

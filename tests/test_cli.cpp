@@ -49,7 +49,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--fault-order"), std::string::npos);
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
   EXPECT_NE(text.find("--shard-faults"), std::string::npos);
-  EXPECT_NE(text.find("--shard-epoch"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
   EXPECT_NE(text.find("--learned-limit"), std::string::npos);
   EXPECT_NE(text.find("--on-error"), std::string::npos);
@@ -92,9 +91,6 @@ TEST(ArgsTest, RobustFlagsReachTheSweepSpec) {
       {"--circuit", "s27", "--on-error", "skip", "--journal", "run.j"});
   const run::SweepSpec spec = sweep_spec(config);
   EXPECT_EQ(spec.on_error.mode, run::ErrorPolicy::Mode::Skip);
-  EXPECT_TRUE(spec.disable_memo);  // journaled rows must replay verbatim
-  const run::SweepSpec plain = sweep_spec(parse({"--circuit", "s27"}));
-  EXPECT_FALSE(plain.disable_memo);
 }
 
 TEST(ArgsTest, LearnModeChoices) {
@@ -117,7 +113,8 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
         std::initializer_list<const char*>{"--all", "--adi-sequences", "8"},
         std::initializer_list<const char*>{"--all", "--restarts", "off"},
         std::initializer_list<const char*>{"--all", "--restart-base", "8"},
-        std::initializer_list<const char*>{"--all", "--lanes", "64"}}) {
+        std::initializer_list<const char*>{"--all", "--lanes", "64"},
+        std::initializer_list<const char*>{"--all", "--shard-epoch", "8"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);
@@ -128,27 +125,18 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
 }
 
 TEST(ArgsTest, ShardFlags) {
-  // Default: auto policy, epoch derived from the worker count.
   const DriverConfig defaults = parse({"--all"});
   EXPECT_EQ(defaults.shard.policy, run::ShardConfig::Policy::Auto);
-  EXPECT_EQ(defaults.shard.epoch_size, 0u);
 
-  const DriverConfig forced =
-      parse({"--all", "--shard-faults", "8", "--shard-epoch", "32"});
+  const DriverConfig forced = parse({"--all", "--shard-faults", "8"});
   EXPECT_EQ(forced.shard.policy, run::ShardConfig::Policy::Forced);
   EXPECT_EQ(forced.shard.workers, 8u);
-  EXPECT_EQ(forced.shard.epoch_size, 32u);
   EXPECT_EQ(sweep_spec(forced).shard, forced.shard);
-
-  // Flag order must not matter: --shard-epoch before --shard-faults.
-  const DriverConfig swapped =
-      parse({"--all", "--shard-epoch", "32", "--shard-faults", "off"});
-  EXPECT_EQ(swapped.shard.policy, run::ShardConfig::Policy::Off);
-  EXPECT_EQ(swapped.shard.epoch_size, 32u);
+  EXPECT_EQ(parse({"--all", "--shard-faults", "off"}).shard.policy,
+            run::ShardConfig::Policy::Off);
 
   EXPECT_THROW(parse({"--all", "--shard-faults", "sideways"}), Error);
   EXPECT_THROW(parse({"--all", "--shard-faults", "0"}), Error);
-  EXPECT_THROW(parse({"--all", "--shard-epoch", "0"}), Error);
 }
 
 TEST(ArgsTest, JobsAndBenchDir) {

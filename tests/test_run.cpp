@@ -11,6 +11,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cancel.hpp"
@@ -47,7 +48,6 @@ void expect_same_result(const core::FogbusterResult& a,
 void expect_identical_runs(const core::FogbusterResult& a,
                            const core::FogbusterResult& b) {
   expect_same_result(a, b);
-  EXPECT_EQ(a.memo_hits, b.memo_hits);
   EXPECT_EQ(a.stages.local_solutions, b.stages.local_solutions);
   EXPECT_EQ(a.stages.sync_attempts, b.stages.sync_attempts);
   EXPECT_EQ(a.stages.aborted_local, b.stages.aborted_local);
@@ -191,8 +191,6 @@ TEST(ShardConfigTest, AutoGatesOnSizeAndPool) {
   shard.workers = 3;
   EXPECT_EQ(shard_workers(shard, narrow, 10), 3u);
   EXPECT_EQ(shard_epoch_size(shard, 3), 16u);  // 4x workers, floor 16
-  shard.epoch_size = 5;
-  EXPECT_EQ(shard_epoch_size(shard, 3), 5u);
 }
 
 TEST(ShardConfigTest, ForcedWidthOneRunsSequential) {
@@ -221,17 +219,15 @@ TEST(ShardTest, EpochShardingMatchesSequential) {
   const auto ctx = core::CircuitContext::build(nl);
   AtpgSession sequential(ctx);
   const core::FogbusterResult reference = sequential.run();
+  const std::vector<std::size_t> order =
+      make_fault_order(*ctx, FaultOrder::Static, {});
 
   for (const unsigned pool_width : {1u, 4u}) {
     for (const std::size_t epoch : {std::size_t{3}, std::size_t{64}}) {
       ThreadPool pool(pool_width);
-      ShardConfig shard;
-      shard.policy = ShardConfig::Policy::Forced;
-      shard.workers = 4;
-      shard.epoch_size = epoch;
-      AtpgSession session(ctx);
-      const core::FogbusterResult sharded = session.run(pool, shard);
-      expect_identical_runs(reference, sharded);
+      core::Fogbuster flow(ctx);
+      expect_identical_runs(reference,
+                            run_sharded(flow, order, pool, epoch));
     }
   }
 }
@@ -242,15 +238,13 @@ TEST(ShardTest, ShardingComposesWithFaultOrders) {
   const net::Netlist nl = circuits::load_circuit("s344");
   const auto ctx = core::CircuitContext::build(nl);
   ThreadPool pool(3);
-  ShardConfig shard;
-  shard.policy = ShardConfig::Policy::Forced;
-  shard.workers = 3;
-  shard.epoch_size = 10;
   for (const FaultOrder order :
        {FaultOrder::Static, FaultOrder::Random, FaultOrder::Adi}) {
     AtpgSession sequential(ctx, {}, order);
-    AtpgSession sharded(ctx, {}, order);
-    expect_identical_runs(sequential.run(), sharded.run(pool, shard));
+    core::Fogbuster flow(ctx);
+    expect_identical_runs(
+        sequential.run(),
+        run_sharded(flow, make_fault_order(*ctx, order, {}), pool, 10));
   }
 }
 
@@ -438,129 +432,49 @@ TEST(FileBackedCatalogTest, BenchDirOverridesGeneratedCircuits) {
   std::filesystem::remove_all(dir);
 }
 
-// The untestable memo must be invisible in the results: a session seeded
-// with another run's proven-untestable set classifies every fault exactly
-// as a memo-free session would — it only skips the redundant searches.
-TEST(MemoTest, MemoDoesNotChangeResults) {
-  const net::Netlist nl = circuits::load_circuit("s298");
-  const auto ctx = core::CircuitContext::build(nl);
-
-  AtpgSession producer(ctx);
-  const core::FogbusterResult proved = producer.run();
-  auto verdicts = std::make_shared<std::vector<bool>>(proved.status.size());
-  long untestable = 0;
-  for (std::size_t f = 0; f < proved.status.size(); ++f) {
-    const bool u = proved.status[f] == core::FaultStatus::Untestable;
-    (*verdicts)[f] = u;
-    untestable += u ? 1 : 0;
-  }
-  ASSERT_GT(untestable, 0);
-
-  // A different seed and a different targeting order than the producer:
-  // the memo still applies (verdicts are seed/order independent).
-  core::AtpgOptions other;
-  other.fill_seed = 7;
-  AtpgSession memo_free(ctx, other, FaultOrder::Random);
-  AtpgSession with_memo(ctx, other, FaultOrder::Random);
-  with_memo.set_untestable_memo(verdicts);
-  const core::FogbusterResult plain = memo_free.run();
-  const core::FogbusterResult memoized = with_memo.run();
-
-  EXPECT_EQ(plain.status, memoized.status);
-  EXPECT_EQ(plain.pattern_count, memoized.pattern_count);
-  EXPECT_EQ(plain.tests.size(), memoized.tests.size());
-  EXPECT_EQ(plain.memo_hits, 0);
-  EXPECT_GT(memoized.memo_hits, 0);
-  // Memo hits can fall short of the set size only because dropping beat
-  // targeting to some faults; never the other way around.
-  EXPECT_LE(memoized.memo_hits, untestable);
-}
-
-// Memo reuse composes with sharding: epochs skip memoized faults without
-// burning generation slices on them.
-TEST(MemoTest, MemoComposesWithSharding) {
-  const net::Netlist nl = circuits::load_circuit("s344");
-  const auto ctx = core::CircuitContext::build(nl);
-  AtpgSession producer(ctx);
-  const core::FogbusterResult proved = producer.run();
-  auto verdicts = std::make_shared<std::vector<bool>>(proved.status.size());
-  for (std::size_t f = 0; f < proved.status.size(); ++f) {
-    (*verdicts)[f] = proved.status[f] == core::FaultStatus::Untestable;
-  }
-
-  ThreadPool pool(4);
-  ShardConfig shard;
-  shard.policy = ShardConfig::Policy::Forced;
-  shard.workers = 4;
-  shard.epoch_size = 8;
-  AtpgSession sequential(ctx);
-  AtpgSession sharded(ctx);
-  sequential.set_untestable_memo(verdicts);
-  sharded.set_untestable_memo(verdicts);
-  const core::FogbusterResult a = sequential.run();
-  const core::FogbusterResult b = sharded.run(pool, shard);
-  expect_identical_runs(a, b);
-  EXPECT_GT(a.memo_hits, 0);
-}
-
-// Sweep-level memo orchestration: cells differing only in seed share one
-// producer's verdicts; the hit counts and the bytes are identical for
-// any worker count (producer-before-consumer scheduling), and the rows
-// match what memo-free single-cell runs produce.
-TEST(MemoTest, SweepMemoIsDeterministicAcrossJobs) {
+// Every sweep cell runs on its own: a matrix cell's counters and its
+// --stages block equal those of the same cell swept alone, and the CSV is
+// identical for any worker count.
+TEST(SweepOrchestratorTest, MatrixCellsMatchSingleCellRuns) {
   SweepSpec spec;
   spec.circuits = {CircuitSource::catalog("s298")};
   spec.seeds = {1995, 7, 23};
+  spec.include_seconds = false;
 
-  auto run_with_jobs = [&](unsigned jobs) {
-    SweepSpec s = spec;
+  auto run_with_jobs = [&](const SweepSpec& base, unsigned jobs) {
+    SweepSpec s = base;
     s.jobs = jobs;
-    s.include_seconds = false;
     std::string csv = sweep_csv_header(s) + "\n";
-    std::vector<long> hits;
-    const SweepStats stats = run_sweep(s, [&](const SweepRow& row) {
+    std::vector<SweepRow> rows;
+    run_sweep(s, [&](const SweepRow& row) {
       csv += format_sweep_csv_row(s, row) + "\n";
-      hits.push_back(row.memo_hits);
+      rows.push_back(row);
     });
-    return std::tuple(csv, hits, stats);
+    return std::pair(csv, rows);
   };
 
-  const auto [csv1, hits1, stats1] = run_with_jobs(1);
-  const auto [csv4, hits4, stats4] = run_with_jobs(4);
+  const auto [csv1, rows1] = run_with_jobs(spec, 1);
+  const auto [csv4, rows4] = run_with_jobs(spec, 4);
   EXPECT_EQ(csv1, csv4);
-  EXPECT_EQ(hits1, hits4);
-  EXPECT_EQ(stats1.memo_hits, stats4.memo_hits);
-  EXPECT_EQ(stats1.memo_reused_cells, stats4.memo_reused_cells);
-  ASSERT_EQ(hits1.size(), 3u);
-  EXPECT_EQ(hits1[0], 0);  // producer proves, consumers reuse
-  EXPECT_GT(hits1[1], 0);
-  EXPECT_EQ(stats1.memo_reused_cells, 2);
+  ASSERT_EQ(rows1.size(), spec.seeds.size());
+  ASSERT_EQ(rows4.size(), spec.seeds.size());
 
-  // Consumers produce the same rows a memo-free run of their cell would.
-  SweepSpec single = spec;
-  single.seeds = {7};
-  single.include_seconds = false;
-  std::string expect_row;
-  run_sweep(single, [&](const SweepRow& row) {
-    expect_row = format_sweep_csv_row(single, row);
-  });
-  // The matrix row carries config columns; compare the counters tail.
-  const std::string tail = expect_row.substr(expect_row.find(','));
-  EXPECT_NE(csv1.find(tail), std::string::npos);
-}
-
-// Cells whose generation configuration differs (here: backtrack limits)
-// must not share verdicts — a tighter cell would abort where the looser
-// one proved untestability, so no group forms across them.
-TEST(MemoTest, DifferentLimitsDoNotShareVerdicts) {
-  SweepSpec spec;
-  spec.circuits = {CircuitSource::catalog("s27")};
-  spec.backtrack_limits = {10, 100};
-  spec.jobs = 2;
-  spec.include_seconds = false;
-  const SweepStats stats = run_sweep(spec, [](const SweepRow&) {});
-  EXPECT_EQ(stats.memo_hits, 0);
-  EXPECT_EQ(stats.memo_reused_cells, 0);
+  for (std::size_t k = 0; k < spec.seeds.size(); ++k) {
+    SweepSpec single = spec;
+    single.seeds = {spec.seeds[k]};
+    const std::vector<SweepRow> alone = run_with_jobs(single, 1).second;
+    ASSERT_EQ(alone.size(), 1u);
+    for (const SweepRow* row : {&rows1[k], &rows4[k]}) {
+      EXPECT_EQ(row->job.options.fill_seed, spec.seeds[k]);
+      EXPECT_EQ(row->table.tested, alone[0].table.tested);
+      EXPECT_EQ(row->table.untestable, alone[0].table.untestable);
+      EXPECT_EQ(row->table.aborted, alone[0].table.aborted);
+      EXPECT_EQ(row->table.patterns, alone[0].table.patterns);
+      EXPECT_EQ(core::format_stage_stats(row->stages),
+                core::format_stage_stats(alone[0].stages))
+          << "seed " << spec.seeds[k];
+    }
+  }
 }
 
 // Sharding through the sweep front door: auto policy with a threshold
