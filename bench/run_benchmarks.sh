@@ -87,7 +87,7 @@ fi
 # --learn modes at identical flags otherwise, recording wall time and
 # the aborted totals. 'off' is the pre-learning baseline, 'on' the
 # deterministic per-fault learner (capped clause database + backjumping
-# + clause minimization + activity ordering + probe memo).
+# + activity ordering + probe memo).
 for mode in off on; do
   echo "run_benchmarks: s1196+s1238 with --learn $mode ..." >&2
   TA=$(date +%s.%N)
@@ -191,7 +191,6 @@ search_core = {
     "clause_hits": 0,
     "backjump_levels_skipped": 0,
     "probe_memo_hits": 0,
-    "minimized_lits": 0,
 }
 for m in re.finditer(
         r"search core\s+implications (\d+), trail pushes (\d+), pops (\d+)",
@@ -206,18 +205,19 @@ for m in re.finditer(
     search_core["probe_cone"] += int(m.group(2))
     search_core["probe_full"] += int(m.group(3))
 # Conflict-driven-search counters (the learning PR): how often the engine
-# conflicted, what it learned, what the learning saved, and how many
-# literals clause minimization dropped.
-for m in re.finditer(
-        r"conflict learning\s+conflicts (\d+), learned (\d+), "
-        r"clause hits (\d+), backjump levels skipped (\d+), "
-        r"minimized lits (\d+)",
-        stages_text):
-    search_core["conflicts"] += int(m.group(1))
-    search_core["learned_clauses"] += int(m.group(2))
-    search_core["clause_hits"] += int(m.group(3))
-    search_core["backjump_levels_skipped"] += int(m.group(4))
-    search_core["minimized_lits"] += int(m.group(5))
+# conflicted, what it learned and what the learning saved. A --stages
+# line the regex misses is an error, not a silent 0.
+learning_lines = re.findall(
+    r"conflict learning\s+conflicts (\d+), learned (\d+), "
+    r"clause hits (\d+), backjump levels skipped (\d+)$",
+    stages_text, re.MULTILINE)
+if len(learning_lines) != stages_text.count("conflict learning"):
+    sys.exit("run_benchmarks: unrecognized 'conflict learning' line")
+for conflicts, learned, hits, skipped in learning_lines:
+    search_core["conflicts"] += int(conflicts)
+    search_core["learned_clauses"] += int(learned)
+    search_core["clause_hits"] += int(hits)
+    search_core["backjump_levels_skipped"] += int(skipped)
 for m in re.finditer(r"probe memo\s+hits (\d+)", stages_text):
     search_core["probe_memo_hits"] += int(m.group(1))
 

@@ -244,17 +244,25 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
   tdgen::TdgenSearch local_search(ctx_->model(), *algebra_, fault,
                                   local_options);
   LocalTest local;
+  bool offered_local_test = false;
 
   for (;;) {
     check_cancel();
     switch (local_search.next(&local)) {
       case tdgen::TdgenStatus::Untestable:
-        return FaultStatus::Untestable;
+        // Untestable means TDgen proved no local test exists. Once the
+        // search has offered one, exhaustion only says the sequential
+        // stages rejected every offer, and those stages are incomplete
+        // (first justification only, frame limits, three-valued
+        // synchronization), so that proves nothing.
+        return offered_local_test ? abort_sequential()
+                                  : FaultStatus::Untestable;
       case tdgen::TdgenStatus::Aborted:
         return abort_local();
       case tdgen::TdgenStatus::TestFound:
         break;
     }
+    offered_local_test = true;
     ++stages->local_solutions;
 
     if (local.observed_at_po) {

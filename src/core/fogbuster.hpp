@@ -58,7 +58,9 @@ struct StageStats {
   long verify_rejections = 0;  ///< candidates rejected by end-to-end check
   long dropped = 0;            ///< faults covered by fault simulation
   long aborted_local = 0;      ///< gave up in the local (TDgen) search
-  long aborted_sequential = 0; ///< gave up in propagation/justification/sync
+  /// gave up in propagation/justification/sync, or TDgen exhausted after
+  /// the sequential stages rejected every local test it offered
+  long aborted_sequential = 0;
   long aborted_budget = 0;     ///< per-fault work budget exhausted
 
   // Search-core counters: the incremental engine's work, so speedups on

@@ -65,8 +65,7 @@ std::string format_stage_stats(const StageStats& s) {
      << "  conflict learning      conflicts " << s.search.conflicts
      << ", learned " << s.search.learned << ", clause hits "
      << s.search.clause_hits << ", backjump levels skipped "
-     << s.search.backjump_levels_skipped << ", minimized lits "
-     << s.search.minimized_lits << "\n"
+     << s.search.backjump_levels_skipped << "\n"
      << "  verification probes    " << s.search.probe_runs
      << " (cone-scoped " << s.search.probe_cone << ", full "
      << s.search.probe_full << ")\n"

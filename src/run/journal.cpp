@@ -17,6 +17,13 @@ namespace {
 
 constexpr std::string_view kHeaderPrefix = "# gdf-journal v1 spec=";
 
+/// Version of the flow's verdicts, hashed into every sweep fingerprint.
+/// Bump it in any change that moves verdicts on purpose: --resume then
+/// refuses a journal whose rows the old flow wrote instead of mixing them
+/// with rows of the new one. 2: Untestable means TDgen proved that no
+/// local test exists.
+constexpr int kFlowVersion = 2;
+
 std::string hex16(std::uint64_t value) {
   char buffer[17];
   for (int i = 15; i >= 0; --i) {
@@ -48,10 +55,12 @@ std::uint64_t fnv1a64(std::string_view text) {
 }
 
 std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout) {
-  // Everything that fixes the canonical job list and the emitted row
-  // layout, one line per job; the wall-time column is part of the layout.
+  // The flow version, then everything that fixes the canonical job list
+  // and the emitted row layout, one line per job; the wall-time column is
+  // part of the layout.
   std::ostringstream os;
-  os << "layout=" << (csv_layout ? "csv" : "table")
+  os << "flow=" << kFlowVersion << '\n'
+     << "layout=" << (csv_layout ? "csv" : "table")
      << " seconds=" << (spec.include_seconds ? 1 : 0)
      << " bench_dir=" << spec.bench_dir << '\n';
   for (const SweepJob& job : expand(spec)) {

@@ -12,12 +12,13 @@
 //   # gdf-journal v1 spec=<16-hex fingerprint>
 //   R <index> <16-hex digest> <row text>
 //
-// The spec fingerprint hashes everything that determines the canonical
-// job list and the row layout; --resume against a journal written by a
-// different sweep configuration is an Input error. A torn tail — the
-// process died mid-write — is tolerated: reading stops at the first
-// malformed or digest-mismatched line and the file is truncated back to
-// the end of the valid prefix before appends resume.
+// The spec fingerprint hashes the flow version and everything that
+// determines the canonical job list and the row layout; --resume against
+// a journal written by a different sweep configuration or by an older
+// flow is an Input error. A torn tail — the process died mid-write — is
+// tolerated: reading stops at the first malformed or digest-mismatched
+// line and the file is truncated back to the end of the valid prefix
+// before appends resume.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +36,10 @@ namespace gdf::run {
 std::uint64_t fnv1a64(std::string_view text);
 
 /// Fingerprint of everything that fixes the journal's replay contract:
-/// the expanded job list (circuit, mode, order, seed, limits, dropping,
-/// sites), the scalar generation knobs, and the row layout (`csv_layout`
-/// = CSV rows vs the text table).
+/// the flow version (journal.cpp's kFlowVersion, bumped by every change
+/// that moves verdicts on purpose), the expanded job list (circuit, mode,
+/// order, seed, limits, dropping, sites), the scalar generation knobs,
+/// and the row layout (`csv_layout` = CSV rows vs the text table).
 std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout);
 
 class SweepJournal {

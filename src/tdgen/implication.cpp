@@ -284,38 +284,6 @@ std::size_t ImplicationEngine::add_clause(
   return index;
 }
 
-int ImplicationEngine::minimize_nogood(std::vector<base::ClauseLit>* lits) {
-  GDF_ASSERT(!conflict_, "minimize_nogood needs a conflict-free root");
-  int removed = 0;
-  // Greedy self-subsumption: drop one literal at a time; a drop is sound
-  // when the remaining literals alone re-derive a conflict by rule
-  // replay from this root state (monotonicity: anything true under the
-  // survivors is true under the full set, so the survivors are already a
-  // nogood). Later candidates are tested against the already-shrunk set,
-  // so the result is subset-minimal w.r.t. this (deterministic) order.
-  for (std::size_t i = 0; i < lits->size() && lits->size() > 1;) {
-    const std::size_t m = mark();
-    bool conflicted = false;
-    for (std::size_t k = 0; k < lits->size(); ++k) {
-      if (k == i) {
-        continue;
-      }
-      if (!assign((*lits)[k].node, (*lits)[k].allowed)) {
-        conflicted = true;
-        break;
-      }
-    }
-    rollback(m);
-    if (conflicted) {
-      lits->erase(lits->begin() + static_cast<std::ptrdiff_t>(i));
-      ++removed;
-    } else {
-      ++i;
-    }
-  }
-  return removed;
-}
-
 void ImplicationEngine::add_pending(NodeId n, std::uint8_t bits) {
   const std::uint8_t cur = pending_[n];
   if ((cur | bits) == cur) {
@@ -462,7 +430,6 @@ bool ImplicationEngine::process(NodeId id, std::uint8_t pend) {
 bool ImplicationEngine::analyze(Analysis* out) {
   out->lits.clear();
   out->levels.clear();
-  out->lit_levels.clear();
   if (!conflict_ || level_marks_.empty()) {
     return false;
   }
@@ -533,8 +500,6 @@ bool ImplicationEngine::analyze(Analysis* out) {
     }
     if (e.why == Why::External) {
       out->lits.push_back({e.node, static_cast<VSet>(e.reason)});
-      out->lit_levels.emplace_back(e.node,
-                                   static_cast<std::uint32_t>(lvl));
       level_flags_[lvl] = 1;
     } else {
       resolve_rule(e);

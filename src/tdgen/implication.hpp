@@ -55,12 +55,6 @@ struct Analysis {
   std::vector<base::ClauseLit> lits;
   /// Sorted unique decision levels (1-based) involved in the conflict.
   std::vector<std::uint32_t> levels;
-  /// Raw (node, level) of every decision-level external entry that became
-  /// a literal, pre-merge — one node can appear at several levels (its set
-  /// was split more than once). Lets a caller that drops literals (clause
-  /// minimization) recompute `levels` for the survivors: a level stays
-  /// involved iff some surviving node has an entry there.
-  std::vector<std::pair<alg::NodeId, std::uint32_t>> lit_levels;
 };
 
 /// True when GDF_FULL_FIXPOINT=1 asks for the exhaustive debug schedule.
@@ -168,16 +162,6 @@ class ImplicationEngine {
   /// by init()/init_from() so each fault's trajectory is self-contained
   /// (and with it byte-deterministic at any worker count).
   double activity(alg::NodeId n) const { return activity_[n]; }
-
-  /// Greedy replay-based nogood minimization: for each literal in turn,
-  /// drops it when re-asserting the remaining literals on *this* engine
-  /// still derives a conflict through the implication rules alone. Call on
-  /// a conflict-free clause-free scratch engine settled at the nogood's
-  /// root state (same fault, same level-0 externals as the learner): the
-  /// rules are monotone, so a conflict under a subset of the literals
-  /// proves that subset is itself a nogood there. Restores the engine's
-  /// state before returning; returns the number of literals removed.
-  int minimize_nogood(std::vector<base::ClauseLit>* lits);
 
  private:
   /// Which rule produced a trail entry (for conflict resolution).

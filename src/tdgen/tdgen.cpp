@@ -17,7 +17,6 @@ TdgenSearch::TdgenSearch(const alg::AtpgModel& model,
                          const alg::DelayAlgebra& algebra, DelayFault fault,
                          TdgenOptions options)
     : model_(&model),
-      algebra_(&algebra),
       fault_(fault),
       options_(options),
       engine_(model, algebra),
@@ -57,7 +56,6 @@ TdgenSearch::~TdgenSearch() {
   tally.clause_hits = engine_.counters().clause_hits;
   tally.learned = learned_;
   tally.backjump_levels_skipped = backjump_levels_skipped_;
-  tally.minimized_lits = minimized_lits_;
   options_.tally->add(tally);
 }
 
@@ -71,26 +69,6 @@ void TdgenSearch::require_observation(NodeId obs_node) {
   required_obs_ = obs_node;
 }
 
-bool TdgenSearch::apply_root_constraints(ImplicationEngine* engine) const {
-  // Activation: the site must expose the carrier of the targeted
-  // transition.
-  const VSet carrier = alg::vset_of(
-      fault_.slow_to_rise ? V8::RiseC : V8::FallC);
-  if (!engine->assign(spec_.site, carrier)) {
-    return false;
-  }
-  for (const PpoPin& pin : pins_) {
-    if (!engine->assign(model_->ppo_node(pin.dff_index), pin.allowed)) {
-      return false;
-    }
-  }
-  if (required_obs_.has_value() &&
-      !engine->assign(*required_obs_, kCarrierSet)) {
-    return false;
-  }
-  return true;
-}
-
 bool TdgenSearch::start() {
   if (options_.init_donor == nullptr ||
       !engine_.init_from(*options_.init_donor, spec_)) {
@@ -99,7 +77,23 @@ bool TdgenSearch::start() {
   if (engine_.conflict()) {
     return false;
   }
-  return apply_root_constraints(&engine_);
+  // Activation: the site must expose the carrier of the targeted
+  // transition.
+  const VSet carrier = alg::vset_of(
+      fault_.slow_to_rise ? V8::RiseC : V8::FallC);
+  if (!engine_.assign(spec_.site, carrier)) {
+    return false;
+  }
+  for (const PpoPin& pin : pins_) {
+    if (!engine_.assign(model_->ppo_node(pin.dff_index), pin.allowed)) {
+      return false;
+    }
+  }
+  if (required_obs_.has_value() &&
+      !engine_.assign(*required_obs_, kCarrierSet)) {
+    return false;
+  }
+  return true;
 }
 
 bool TdgenSearch::carrier_possible_at_observation() const {
@@ -585,15 +579,6 @@ bool TdgenSearch::conflict_backtrack() {
       involved_levels_[lvl] = 1;
     }
   }
-  // Each candidate literal costs one scratch-engine replay, so only short
-  // clauses are worth polishing: they fire most often and drop literals
-  // most often. Past ~4 literals the replay time exceeds what the sweep
-  // gets back in pruning (measured on s1196/s1238).
-  static constexpr std::size_t kMaxMinimizeLits = 4;
-  if (options_.minimize && analysis_.lits.size() > 1 &&
-      analysis_.lits.size() <= kMaxMinimizeLits) {
-    minimize_learned();
-  }
   if (!backtrack(&involved_levels_)) {
     return false;
   }
@@ -606,48 +591,6 @@ bool TdgenSearch::conflict_backtrack() {
     ++learned_;
   }
   return true;
-}
-
-void TdgenSearch::minimize_learned() {
-  if (minimize_engine_ == nullptr && !minimize_engine_failed_) {
-    // The scratch engine reproduces this search's root state (post-init
-    // fixpoint + activation/pins/required-observation) and never learns
-    // clauses, so its narrowings are pure rule replay — exactly what the
-    // minimization proof needs.
-    auto scratch = std::make_unique<ImplicationEngine>(*model_, *algebra_);
-    if (!scratch->init_from(engine_, spec_)) {
-      scratch->init(spec_);
-    }
-    if (scratch->conflict() || !apply_root_constraints(scratch.get())) {
-      minimize_engine_failed_ = true;  // cannot happen after start(); safety
-    } else {
-      minimize_engine_ = std::move(scratch);
-    }
-  }
-  if (minimize_engine_ == nullptr) {
-    return;
-  }
-  const int removed = minimize_engine_->minimize_nogood(&analysis_.lits);
-  if (removed <= 0) {
-    return;
-  }
-  minimized_lits_ += removed;
-  // Recompute the involved levels from the survivors: a level stays in
-  // the backjump set iff some surviving node was split there. Every
-  // survivor is a decision-level external, so the set cannot go empty.
-  std::vector<std::uint8_t> shrunk(involved_levels_.size(), 0);
-  bool any = false;
-  for (const base::ClauseLit& lit : analysis_.lits) {
-    for (const auto& [node, level] : analysis_.lit_levels) {
-      if (node == lit.node && level < shrunk.size()) {
-        shrunk[level] = 1;
-        any = true;
-      }
-    }
-  }
-  if (any) {  // defensive: otherwise keep the unminimized backjump set
-    involved_levels_ = std::move(shrunk);
-  }
 }
 
 TdgenStatus TdgenSearch::exhausted_status() const {

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -64,7 +63,6 @@ struct SearchCounters {
   long clause_hits = 0;  ///< conflicts announced early by a learned clause
   long backjump_levels_skipped = 0;  ///< levels discarded untried by CBJ
   long restarts = 0;  ///< always 0: the search never restarts
-  long minimized_lits = 0;  ///< literals dropped by nogood minimization
   long probe_runs = 0;  ///< verification probes executed (not memo-skipped)
   long probe_cone = 0;  ///< … settled incrementally from the cached state
   long probe_full = 0;  ///< … requiring a full two-frame pass
@@ -78,7 +76,6 @@ struct SearchCounters {
     learned += other.learned;
     clause_hits += other.clause_hits;
     backjump_levels_skipped += other.backjump_levels_skipped;
-    minimized_lits += other.minimized_lits;
     probe_runs += other.probe_runs;
     probe_cone += other.probe_cone;
     probe_full += other.probe_full;
@@ -103,9 +100,6 @@ struct TdgenOptions {
   /// saving across backtracks. Active only when `learn` is set; all-zero
   /// activities reproduce the static order exactly.
   bool vsids = true;
-  /// Shrink each learned nogood by replay-based self-subsumption before it
-  /// is stored.
-  bool minimize = true;
   /// When set, the search adds its counters here on destruction.
   SearchCounters* tally = nullptr;
   /// Shared per-fault work budget; the decision loop charges its engine's
@@ -187,13 +181,6 @@ class TdgenSearch {
   };
 
   bool start();
-  /// Level-0 constraints of this fault: carrier activation at the site,
-  /// PPO pins, required observation. Factored out of start() so the
-  /// minimization scratch engine can reproduce the root state exactly.
-  bool apply_root_constraints(ImplicationEngine* engine) const;
-  /// Replay-minimizes analysis_.lits on the scratch engine and recomputes
-  /// involved_levels_ from the surviving literals' levels.
-  void minimize_learned();
   /// Chronological backtrack, or — when `involved` names the decision
   /// levels a just-analyzed conflict rests on — conflict-directed
   /// backjumping: levels not in the failure's cause are discarded untried
@@ -216,7 +203,6 @@ class TdgenSearch {
   TdgenStatus exhausted_status() const;
 
   const alg::AtpgModel* model_;
-  const alg::DelayAlgebra* algebra_;
   DelayFault fault_;
   TdgenOptions options_;
   alg::FaultSpec spec_;
@@ -274,13 +260,8 @@ class TdgenSearch {
   /// primary splits retry the phase that survived deepest before falling
   /// back to the static vset_first choice. 0 = no phase saved.
   std::vector<alg::VSet> saved_phase_;
-  /// Lazily built engine for replay minimization, seeded from engine_'s
-  /// post-init snapshot plus the root constraints, never given clauses.
-  std::unique_ptr<ImplicationEngine> minimize_engine_;
-  bool minimize_engine_failed_ = false;
   long learned_ = 0;
   long backjump_levels_skipped_ = 0;
-  long minimized_lits_ = 0;
   bool started_ = false;
   bool aborted_ = false;
   int backtracks_ = 0;

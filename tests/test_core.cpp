@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "algebra/frame_sim.hpp"
+#include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "core/delay_atpg.hpp"
 #include "netlist/fanout.hpp"
+#include "sim/seq_sim.hpp"
+#include "tdsim/tdsim.hpp"
 
 namespace gdf::core {
 namespace {
@@ -170,12 +179,83 @@ TEST(FogbusterOptions, StemOnlyFaultListIsSmaller) {
   EXPECT_EQ(r.faults.size(), 34u);
 }
 
-// A Tested verdict carries an end-to-end verified sequence, so no search
-// option may call that fault Untestable. With dropping off every fault
-// gets its own search, and the configurations run one after another on
-// one shared context per circuit. The vacuity guards check that the
-// budget really cut searches short and that both verdicts occur, so the
-// comparison had something to contradict.
+// The local oracle: a plain two-frame fault simulation judges the
+// search. A binary stimulus (V1, S0, V2) with S1 = next-state(S0, V1) is
+// a real execution of the two local frames; when TDsim sees a fault under
+// it at a PO or at any PPO, a robust local test exists and TDgen cannot
+// have proved the fault Untestable. Circuits with at most 12 stimulus
+// bits enumerate every stimulus, the others draw a fixed-seed sample.
+// Returns, per canonical fault, whether some stimulus detects it; every
+// CPT hit on a fault in `judged` is confirmed by the exact engine.
+std::vector<bool> local_oracle(const CircuitContext& ctx,
+                               const std::vector<bool>& judged) {
+  constexpr std::uint64_t kSamples = 4000;
+  const std::size_t n_pi = ctx.netlist().inputs().size();
+  const std::size_t n_ff = ctx.netlist().dffs().size();
+  const std::size_t n_bits = 2 * n_pi + n_ff;
+  const bool exhaustive = n_bits <= 12;
+  const std::uint64_t count = exhaustive ? 1ULL << n_bits : kSamples;
+  const std::vector<tdgen::DelayFault>& faults = ctx.faults();
+  const sim::SeqSimulator seq(ctx.flat());
+  const tdsim::Tdsim tdsim(ctx.model(), ctx.algebra(alg::Mode::Robust));
+
+  std::vector<bool> detected(faults.size(), false);
+  Rng rng(1995);
+  std::vector<int> bits(n_bits);
+  std::vector<Lv> v1(n_pi), s0(n_ff), lines;
+  tdsim::TdsimRequest request;
+  request.observable_ppo.assign(n_ff, true);
+  for (std::uint64_t s = 0; s < count; ++s) {
+    for (std::size_t i = 0; i < n_bits; ++i) {
+      bits[i] = exhaustive ? static_cast<int>((s >> i) & 1u)
+                           : (rng.next_bool() ? 1 : 0);
+    }
+    // Bits [0, n_pi) are V1, [n_pi, 2 n_pi) are V2, the rest are S0.
+    for (std::size_t p = 0; p < n_pi; ++p) {
+      v1[p] = bits[p] != 0 ? Lv::One : Lv::Zero;
+    }
+    for (std::size_t k = 0; k < n_ff; ++k) {
+      s0[k] = bits[2 * n_pi + k] != 0 ? Lv::One : Lv::Zero;
+    }
+    seq.eval_frame(v1, s0, lines);
+    const sim::StateVec s1 = seq.next_state(lines);
+    request.stimulus.pi_sets.clear();
+    for (std::size_t p = 0; p < n_pi; ++p) {
+      request.stimulus.pi_sets.push_back(
+          alg::vset_primary_from_frames(bits[p], bits[n_pi + p]));
+    }
+    request.stimulus.ppi_sets.clear();
+    for (std::size_t k = 0; k < n_ff; ++k) {
+      request.stimulus.ppi_sets.push_back(alg::vset_primary_from_frames(
+          bits[2 * n_pi + k], s1[k] == Lv::One ? 1 : 0));
+    }
+    const std::vector<bool> hits = tdsim.detect_cpt(request, faults);
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (!hits[f]) {
+        continue;
+      }
+      if (judged[f]) {
+        const std::vector<bool> exact = tdsim.detect_exact(
+            request, std::span<const tdgen::DelayFault>(&faults[f], 1));
+        EXPECT_TRUE(exact[0])
+            << "detect_cpt and detect_exact disagree on "
+            << tdgen::fault_name(ctx.netlist(), faults[f]);
+      }
+      detected[f] = true;
+    }
+  }
+  return detected;
+}
+
+// A Tested verdict carries an end-to-end verified sequence, and an
+// Untestable one claims that TDgen proved no local test exists. So no
+// search option may call a fault Untestable that another option tests,
+// or that the local oracle detects. With dropping off every fault gets
+// its own search, and the configurations run one after another on one
+// shared context per circuit. The vacuity guards check that the budget
+// really cut searches short, that both verdicts occur, and that the
+// oracle's stimuli detect some Tested fault, so each comparison had
+// something to contradict.
 void expect_verdicts_agree(std::initializer_list<const char*> names) {
   std::vector<AtpgOptions> configs(4);
   configs[1].learn = LearnMode::Off;
@@ -196,21 +276,47 @@ void expect_verdicts_agree(std::initializer_list<const char*> names) {
       results.push_back(Fogbuster(ctx, options).run());
     }
     budget_aborts += results[2].stages.aborted_budget;
+    const std::size_t n_faults = ctx->faults().size();
     int contradictions = 0;
-    for (std::size_t f = 0; f < ctx->faults().size(); ++f) {
-      bool tested = false;
-      bool untestable = false;
+    std::vector<bool> tested(n_faults, false);
+    std::vector<bool> untestable(n_faults, false);
+    for (std::size_t f = 0; f < n_faults; ++f) {
       for (const FogbusterResult& r : results) {
-        tested = tested || r.status[f] == FaultStatus::Tested;
-        untestable = untestable || r.status[f] == FaultStatus::Untestable;
+        tested[f] = tested[f] || r.status[f] == FaultStatus::Tested;
+        untestable[f] =
+            untestable[f] || r.status[f] == FaultStatus::Untestable;
       }
-      contradictions += tested && untestable ? 1 : 0;
-      any_tested = any_tested || tested;
-      any_untestable = any_untestable || untestable;
+      contradictions += tested[f] && untestable[f] ? 1 : 0;
+      any_tested = any_tested || tested[f];
+      any_untestable = any_untestable || untestable[f];
     }
     EXPECT_EQ(contradictions, 0)
         << name << ": faults Tested in one configuration and Untestable "
         << "in another";
+
+    const std::vector<bool> detected = local_oracle(*ctx, untestable);
+    bool oracle_saw_tested = false;
+    for (std::size_t f = 0; f < n_faults; ++f) {
+      oracle_saw_tested = oracle_saw_tested || (tested[f] && detected[f]);
+    }
+    EXPECT_TRUE(oracle_saw_tested) << name;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+      int refuted = 0;
+      std::string examples;
+      for (std::size_t f = 0; f < n_faults; ++f) {
+        if (results[c].status[f] != FaultStatus::Untestable ||
+            !detected[f]) {
+          continue;
+        }
+        if (++refuted <= 5) {
+          examples +=
+              " " + tdgen::fault_name(ctx->netlist(), ctx->faults()[f]) + ";";
+        }
+      }
+      EXPECT_EQ(refuted, 0)
+          << name << ", configuration " << c << ": Untestable faults a "
+          << "two-frame stimulus detects, e.g." << examples;
+    }
   }
   EXPECT_GT(budget_aborts, 0);
   EXPECT_TRUE(any_tested);

@@ -433,80 +433,5 @@ TEST(ConflictAnalysis, WatchedClauseFiresOnlyWhereFixpointConflicts) {
   EXPECT_GT(fired, 0);
 }
 
-TEST(ConflictAnalysis, MinimizedNogoodsReplayEquivalently) {
-  // Replay-based minimization (minimize_nogood) must produce a clause
-  // that is still a nogood: replaying the *surviving* literals on a fresh
-  // full-fixpoint engine at the same root state must re-derive a
-  // conflict, exactly like the unminimized original. Random decision
-  // scripts over c17 faults provide nogoods of varying width.
-  const net::Netlist nl = net::expand_fanout_branches(circuits::make_c17());
-  const AtpgModel model(nl);
-  int minimized = 0;
-  int analyzed = 0;
-  for (NodeId site = 0; site < model.node_count(); site += 2) {
-    const alg::FaultSpec spec{site, (site & 1u) == 0};
-    Rng rng(1337 + site);
-    for (int trial = 0; trial < 30; ++trial) {
-      ImplicationEngine engine(model, robust_algebra());
-      engine.init(spec);
-      if (engine.conflict()) {
-        continue;
-      }
-      Analysis analysis;
-      for (int step = 0; step < 10; ++step) {
-        const NodeId n =
-            static_cast<NodeId>(rng.next_in(0, model.node_count() - 1));
-        const VSet allowed = static_cast<VSet>(rng.next_in(1, 255));
-        engine.push_level();
-        if (engine.assign(n, allowed)) {
-          continue;
-        }
-        if (!engine.analyze(&analysis)) {
-          break;
-        }
-        ++analyzed;
-        // Minimize on a clause-free scratch engine at the root state —
-        // the same protocol TdgenSearch uses.
-        ImplicationEngine scratch(model, robust_algebra());
-        scratch.init(spec);
-        ASSERT_FALSE(scratch.conflict());
-        std::vector<base::ClauseLit> lits = analysis.lits;
-        const int removed = scratch.minimize_nogood(&lits);
-        ASSERT_GE(removed, 0);
-        ASSERT_EQ(lits.size() + static_cast<std::size_t>(removed),
-                  analysis.lits.size());
-        ASSERT_FALSE(lits.empty());
-        if (removed > 0) {
-          ++minimized;
-        }
-        // Minimization must leave the scratch engine at its root state:
-        // a second pass over the unminimized clause sees the same engine.
-        std::vector<base::ClauseLit> again = analysis.lits;
-        EXPECT_EQ(scratch.minimize_nogood(&again), removed);
-        EXPECT_EQ(again.size(), lits.size());
-        // The survivors alone must re-derive the conflict under the
-        // exhaustive reference schedule.
-        ImplicationEngine replay(model, robust_algebra(), true);
-        replay.init(spec);
-        ASSERT_FALSE(replay.conflict());
-        replay.push_level();
-        for (const base::ClauseLit& lit : lits) {
-          if (!replay.assign(lit.node, lit.allowed)) {
-            break;
-          }
-        }
-        EXPECT_TRUE(replay.conflict())
-            << "minimized nogood from site " << site << " trial " << trial
-            << " does not re-derive its conflict";
-        break;
-      }
-    }
-  }
-  // The sweep is vacuous unless analysis ran and some literal was
-  // actually dropped somewhere.
-  EXPECT_GT(analyzed, 20);
-  EXPECT_GT(minimized, 0);
-}
-
 }  // namespace
 }  // namespace gdf::tdgen

@@ -84,17 +84,20 @@ TEST(GeneratedCircuitDropping, DroppedFaultsNeverContradictUntestable) {
   // With dropping on and off, a fault proven untestable by the exhaustive
   // search must never be claimed tested by dropping (soundness of TDsim
   // crediting) — and vice versa, dropping may rescue aborted faults only.
-  const net::Netlist circuit = circuits::load_circuit("s386");
-  const FogbusterResult with = run_delay_atpg(circuit);
-  AtpgOptions off;
-  off.fault_dropping = false;
-  const FogbusterResult without = run_delay_atpg(circuit, off);
-  ASSERT_EQ(with.faults.size(), without.faults.size());
-  const Fogbuster flow(circuit);
-  for (std::size_t i = 0; i < with.faults.size(); ++i) {
-    if (without.status[i] == FaultStatus::Untestable) {
-      EXPECT_NE(with.status[i], FaultStatus::Tested)
-          << tdgen::fault_name(flow.working_netlist(), with.faults[i]);
+  for (const char* name : {"s298", "s386"}) {
+    const net::Netlist circuit = circuits::load_circuit(name);
+    const FogbusterResult with = run_delay_atpg(circuit);
+    AtpgOptions off;
+    off.fault_dropping = false;
+    const FogbusterResult without = run_delay_atpg(circuit, off);
+    ASSERT_EQ(with.faults.size(), without.faults.size());
+    const Fogbuster flow(circuit);
+    for (std::size_t i = 0; i < with.faults.size(); ++i) {
+      if (without.status[i] == FaultStatus::Untestable) {
+        EXPECT_NE(with.status[i], FaultStatus::Tested)
+            << name << " "
+            << tdgen::fault_name(flow.working_netlist(), with.faults[i]);
+      }
     }
   }
 }

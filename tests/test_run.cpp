@@ -670,6 +670,10 @@ TEST(SweepFingerprintTest, PinsJobListAndLayout) {
   SweepSpec budgeted = spec;
   budgeted.base.fault_budget = 100;
   EXPECT_NE(base, sweep_fingerprint(budgeted, true));
+  // The flow version is hashed in, so a journal written before a change
+  // that moved verdicts is refused. A new value here must come with a
+  // bump of journal.cpp's kFlowVersion.
+  EXPECT_EQ(base, 0x60f376c234de02feULL);
 }
 
 class SweepFaultInjectionTest : public ::testing::Test {
