@@ -72,6 +72,9 @@ void StageStats::add(const StageStats& other) {
   dropped += other.dropped;
   aborted_local += other.aborted_local;
   aborted_sequential += other.aborted_sequential;
+  aborted_propagation += other.aborted_propagation;
+  aborted_synchronization += other.aborted_synchronization;
+  aborted_exhausted += other.aborted_exhausted;
   aborted_budget += other.aborted_budget;
   search.add(other.search);
   sim.add(other.sim);
@@ -203,7 +206,8 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
       throw_cancelled();
     }
   };
-  const auto abort_sequential = [&] {
+  const auto abort_sequential = [&](long StageStats::*cause) {
+    ++(stages->*cause);
     ++stages->aborted_sequential;
     return FaultStatus::Aborted;
   };
@@ -255,8 +259,9 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         // stages rejected every offer, and those stages are incomplete
         // (first justification only, frame limits, three-valued
         // synchronization), so that proves nothing.
-        return offered_local_test ? abort_sequential()
-                                  : FaultStatus::Untestable;
+        return offered_local_test
+                   ? abort_sequential(&StageStats::aborted_exhausted)
+                   : FaultStatus::Untestable;
       case tdgen::TdgenStatus::Aborted:
         return abort_local();
       case tdgen::TdgenStatus::TestFound:
@@ -272,7 +277,7 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         return FaultStatus::Tested;
       }
       if (budget.exhausted()) {
-        return abort_sequential();
+        return abort_sequential(&StageStats::aborted_synchronization);
       }
       continue;
     }
@@ -315,7 +320,7 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
       ++stages->prop_attempts;
       const semilet::SeqStatus pstatus = propagator.next(&outcome);
       if (pstatus == semilet::SeqStatus::Aborted) {
-        return abort_sequential();
+        return abort_sequential(&StageStats::aborted_propagation);
       }
       if (pstatus == semilet::SeqStatus::Exhausted) {
         ++stages->prop_failures;
@@ -394,11 +399,11 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         return FaultStatus::Tested;
       }
       if (budget.exhausted()) {
-        return abort_sequential();
+        return abort_sequential(&StageStats::aborted_synchronization);
       }
     }
     if (budget.exhausted()) {
-      return abort_sequential();
+      return abort_sequential(&StageStats::aborted_propagation);
     }
   }
 }

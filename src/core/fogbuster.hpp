@@ -8,7 +8,9 @@
 //   3. propagation justification — reverse time, with requirements on the
 //      fast-frame boundary handed back to TDgen as pinned PPOs (re-entry);
 //   4. justification of the test frames and synchronization of the
-//      required initial state from power-up (SEMILET, reverse time);
+//      required initial state from power-up: the shortest covering prefix
+//      of the circuit's forward-simulated library (sim/sync_library),
+//      else SEMILET's reverse-time search;
 //   5. independent end-to-end verification; rejected candidates resume the
 //      search (backtracking between the steps makes the approach
 //      complete).
@@ -59,8 +61,12 @@ struct StageStats {
   long dropped = 0;            ///< faults covered by fault simulation
   long aborted_local = 0;      ///< gave up in the local (TDgen) search
   /// gave up in propagation/justification/sync, or TDgen exhausted after
-  /// the sequential stages rejected every local test it offered
+  /// the sequential stages rejected every local test it offered: the sum
+  /// of the three causes below
   long aborted_sequential = 0;
+  long aborted_propagation = 0;      ///< budget ran out in propagation
+  long aborted_synchronization = 0;  ///< budget ran out synchronizing S0
+  long aborted_exhausted = 0;        ///< TDgen exhausted after a local test
   long aborted_budget = 0;     ///< per-fault work budget exhausted
 
   // Search-core counters: the incremental engine's work, so speedups on

@@ -59,6 +59,9 @@ std::string format_stage_stats(const StageStats& s) {
      << "  aborts                 local " << s.aborted_local
      << ", sequential " << s.aborted_sequential << ", budget "
      << s.aborted_budget << "\n"
+     << "  sequential aborts      propagation " << s.aborted_propagation
+     << ", synchronization " << s.aborted_synchronization << ", exhausted "
+     << s.aborted_exhausted << "\n"
      << "  search core            implications "
      << s.search.implication_assigns << ", trail pushes "
      << s.search.trail_pushes << ", pops " << s.search.trail_pops << "\n"

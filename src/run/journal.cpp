@@ -21,8 +21,9 @@ constexpr std::string_view kHeaderPrefix = "# gdf-journal v1 spec=";
 /// Bump it in any change that moves verdicts on purpose: --resume then
 /// refuses a journal whose rows the old flow wrote instead of mixing them
 /// with rows of the new one. 2: Untestable means TDgen proved that no
-/// local test exists.
-constexpr int kFlowVersion = 2;
+/// local test exists. 3: synchronization tries the circuit's
+/// forward-simulated prefix library before the reverse-time search.
+constexpr int kFlowVersion = 3;
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/error.hpp"
+#include "sim/sync_library.hpp"
 
 namespace gdf::semilet {
 
@@ -58,6 +59,14 @@ SeqStatus Synchronizer::synchronize(
     if (out != nullptr) {
       out->frames.clear();
     }
+    return SeqStatus::Success;
+  }
+  // Forward step: the shortest covering prefix of the circuit's random
+  // simulation library, at no search cost.
+  const std::size_t max_frames = static_cast<std::size_t>(
+      std::max(0, budget_->options().max_sync_frames));
+  if (sim_.flat()->sync_library().find_prefix(
+          requirements, max_frames, out != nullptr ? &out->frames : nullptr)) {
     return SeqStatus::Success;
   }
   layers_.clear();

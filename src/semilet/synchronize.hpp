@@ -2,13 +2,18 @@
 //
 // Finds an input sequence that drives the machine from the completely
 // unknown power-up state into one satisfying the required state bits (the
-// S0 that TDgen's initial frame needs). Works by reverse time processing:
-// the requirements are justified in a frame whose entering state is all-X;
-// requirements that fall back on state bits recurse into an earlier frame,
-// until a frame needs no state support at all. Because every frame is
-// justified against an all-X state, the resulting sequence initializes the
-// required bits from *any* power-up state — a true synchronizing sequence
-// under three-valued logic.
+// S0 that TDgen's initial frame needs), in two steps:
+//  1. Forward: the circuit's synchronizing-prefix library
+//     (sim/sync_library) — seeded random binary sequences simulated
+//     three-valued from all-X — supplies the shortest prefix that sets
+//     every required bit. A hit spends no backtracks.
+//  2. Reverse time processing, only on a miss: the requirements are
+//     justified in a frame whose entering state is all-X; requirements that
+//     fall back on state bits recurse into an earlier frame, until a frame
+//     needs no state support at all.
+// Both steps work against an all-X state, so the resulting sequence
+// initializes the required bits from *any* power-up state — a true
+// synchronizing sequence under three-valued logic.
 #pragma once
 
 #include <memory>
@@ -39,7 +44,8 @@ class Synchronizer {
 
   /// Requirements: flip-flop index -> value that must hold in the state
   /// *after* the returned sequence. An empty requirement list succeeds
-  /// with an empty sequence.
+  /// with an empty sequence. Both steps cap the sequence at the budget's
+  /// max_sync_frames.
   SeqStatus synchronize(
       std::vector<std::pair<std::size_t, sim::Lv>> requirements,
       SyncResult* out);

@@ -1,6 +1,7 @@
 #include "sim/flat_circuit.hpp"
 
 #include "netlist/levelize.hpp"
+#include "sim/sync_library.hpp"
 
 namespace gdf::sim {
 
@@ -81,6 +82,15 @@ FlatCircuit::FlatCircuit(const net::Netlist& nl)
       }
     }
   }
+}
+
+FlatCircuit::~FlatCircuit() = default;
+
+const SyncLibrary& FlatCircuit::sync_library() const {
+  std::call_once(sync_once_, [this] {
+    sync_library_ = std::make_unique<const SyncLibrary>(*this);
+  });
+  return *sync_library_;
 }
 
 std::shared_ptr<const FlatCircuit> FlatCircuit::build(const net::Netlist& nl) {

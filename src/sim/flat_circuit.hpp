@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -17,9 +18,12 @@
 
 namespace gdf::sim {
 
+class SyncLibrary;
+
 class FlatCircuit {
  public:
   explicit FlatCircuit(const net::Netlist& nl);
+  ~FlatCircuit();
 
   const net::Netlist& netlist() const { return *nl_; }
 
@@ -66,6 +70,12 @@ class FlatCircuit {
         reader_begin_[line + 1] - reader_begin_[line]);
   }
 
+  /// The circuit's synchronizing-prefix library (sim/sync_library). Built
+  /// on the first call, under a once_flag so concurrent first callers
+  /// share one build; never built by the constructor, so circuits that
+  /// are never synchronized never pay for it.
+  const SyncLibrary& sync_library() const;
+
   /// Builds a shareable flat form; the canonical way engines obtain one
   /// when handed a bare netlist.
   static std::shared_ptr<const FlatCircuit> build(const net::Netlist& nl);
@@ -87,6 +97,8 @@ class FlatCircuit {
   std::vector<std::uint32_t> body_of_;
   std::vector<std::uint32_t> reader_begin_;
   std::vector<std::uint32_t> reader_pool_;
+  mutable std::once_flag sync_once_;
+  mutable std::unique_ptr<const SyncLibrary> sync_library_;
 };
 
 /// One body evaluation over already-settled input lines — the per-gate

@@ -334,6 +334,19 @@ TEST(FogbusterOptionsLarge, VerdictsAgreeAcrossSearchOptions) {
   expect_verdicts_agree({"s344", "s420", "s641"});
 }
 
+// Every sequential abort is attributed to exactly one cause.
+TEST(FogbusterStages, SequentialAbortCausesSumUp) {
+  for (const char* name : {"s298", "s344"}) {
+    const FogbusterResult r = run_delay_atpg(circuits::load_circuit(name));
+    const StageStats& s = r.stages;
+    EXPECT_GT(s.aborted_sequential, 0) << name;
+    EXPECT_EQ(s.aborted_propagation + s.aborted_synchronization +
+                  s.aborted_exhausted,
+              s.aborted_sequential)
+        << name;
+  }
+}
+
 TEST(ReportTest, Table3Formatting) {
   Table3Row row{"s27", 39, 11, 0, 163, 0.4};
   const std::string header = table3_header();
@@ -353,7 +366,7 @@ TEST(ReportTest, StageStatsMentionEveryStage) {
   const std::string text = format_stage_stats(s);
   for (const char* key :
        {"targeted", "local", "propagation", "re-entries",
-        "synchronizations", "verify", "dropped"}) {
+        "synchronizations", "verify", "dropped", "sequential aborts"}) {
     EXPECT_NE(text.find(key), std::string::npos) << key;
   }
 }

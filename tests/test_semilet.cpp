@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <numeric>
+#include <thread>
+
+#include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/builder.hpp"
 #include "semilet/semilet.hpp"
+#include "sim/sync_library.hpp"
 
 namespace gdf::semilet {
 namespace {
@@ -261,6 +267,212 @@ TEST(SynchronizerTest, ChainNeedsMultipleFrames) {
     state = simulator.next_state(lines);
   }
   EXPECT_EQ(state[1], Lv::One);
+}
+
+// --- The synchronizing-prefix library ---------------------------------
+
+using Requirements = std::vector<std::pair<std::size_t, Lv>>;
+
+// Replays `frames` from the all-X power-up state on the scalar simulator:
+// true when every requirement holds in the final state.
+bool establishes(const net::Netlist& nl, const std::vector<InputVec>& frames,
+                 const Requirements& requirements) {
+  const sim::SeqSimulator simulator(nl);
+  StateVec state = simulator.unknown_state();
+  std::vector<Lv> lines;
+  for (const InputVec& pis : frames) {
+    simulator.eval_frame(pis, state, lines);
+    state = simulator.next_state(lines);
+  }
+  for (const auto& [ff, v] : requirements) {
+    if (state[ff] != v) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every (flip-flop, value) pair of the circuit, one requirement each.
+std::vector<Requirements> single_bits(const net::Netlist& nl) {
+  std::vector<Requirements> sets;
+  for (std::size_t k = 0; k < nl.dffs().size(); ++k) {
+    sets.push_back({{k, Lv::Zero}});
+    sets.push_back({{k, Lv::One}});
+  }
+  return sets;
+}
+
+struct SyncOutcome {
+  SeqStatus status;
+  std::vector<InputVec> frames;
+
+  bool operator==(const SyncOutcome&) const = default;
+};
+
+SyncOutcome synchronize_fresh(std::shared_ptr<const sim::FlatCircuit> fc,
+                              const Requirements& requirements,
+                              const SemiletOptions& options = {}) {
+  Budget budget(options);
+  Synchronizer synchronizer(std::move(fc), budget);
+  SyncResult result;
+  const SeqStatus status = synchronizer.synchronize(requirements, &result);
+  return {status, std::move(result.frames)};
+}
+
+TEST(SyncLibraryTest, PrefixesEstablishTheirRequirements) {
+  for (const char* name : {"s641", "s1196"}) {
+    const net::Netlist nl = circuits::load_circuit(name);
+    const auto fc = sim::FlatCircuit::build(nl);
+    std::vector<Requirements> sets = single_bits(nl);
+    const std::size_t singles = sets.size();
+    // Seeded random sets of 2-6 distinct bits.
+    Rng rng(1995);
+    std::vector<std::size_t> ffs(nl.dffs().size());
+    for (int i = 0; i < 300; ++i) {
+      std::iota(ffs.begin(), ffs.end(), std::size_t{0});
+      const std::size_t size = 2 + rng.next_below(5);
+      Requirements set;
+      for (std::size_t j = 0; j < size; ++j) {
+        std::swap(ffs[j], ffs[j + rng.next_below(ffs.size() - j)]);
+        set.emplace_back(ffs[j], rng.next_bool() ? Lv::One : Lv::Zero);
+      }
+      sets.push_back(std::move(set));
+    }
+    int single_hits = 0;
+    int multi_hits = 0;
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      std::vector<InputVec> frames;
+      if (!fc->sync_library().find_prefix(sets[i], sim::SyncLibrary::kFrames,
+                                          &frames)) {
+        continue;
+      }
+      ++(i < singles ? single_hits : multi_hits);
+      EXPECT_GE(frames.size(), 1u);
+      EXPECT_LE(frames.size(), sim::SyncLibrary::kFrames);
+      EXPECT_TRUE(establishes(nl, frames, sets[i])) << name << " set " << i;
+    }
+    EXPECT_GT(single_hits, 0) << name;
+    EXPECT_GT(multi_hits, 0) << name;
+  }
+}
+
+TEST(SyncLibraryTest, HitSpendsNoSearch) {
+  const net::Netlist nl = circuits::load_circuit("s1196");
+  const auto fc = sim::FlatCircuit::build(nl);
+  int hits = 0;
+  for (const Requirements& set : single_bits(nl)) {
+    std::vector<InputVec> prefix;
+    if (!fc->sync_library().find_prefix(set, sim::SyncLibrary::kFrames,
+                                        &prefix)) {
+      continue;
+    }
+    ++hits;
+    Budget budget{SemiletOptions{}};
+    Synchronizer synchronizer(fc, budget);
+    SyncResult result;
+    ASSERT_EQ(synchronizer.synchronize(set, &result), SeqStatus::Success);
+    EXPECT_EQ(result.frames, prefix);
+    EXPECT_EQ(budget.backtracks(), 0);
+    EXPECT_EQ(budget.decisions(), 0);
+  }
+  EXPECT_GT(hits, 0);
+}
+
+TEST(SyncLibraryTest, MaxSyncFramesCapsThePrefix) {
+  const net::Netlist nl = circuits::load_circuit("s1196");
+  const auto fc = sim::FlatCircuit::build(nl);
+  int capped = 0;
+  for (const Requirements& set : single_bits(nl)) {
+    std::vector<InputVec> prefix;
+    if (!fc->sync_library().find_prefix(set, sim::SyncLibrary::kFrames,
+                                        &prefix) ||
+        prefix.size() < 2) {
+      continue;
+    }
+    ++capped;
+    // The prefix is the shortest, so one frame less finds none...
+    const std::size_t cap = prefix.size() - 1;
+    EXPECT_FALSE(fc->sync_library().find_prefix(set, cap, nullptr));
+    // ...and the synchronizer keeps to the cap on either step.
+    SemiletOptions options;
+    options.max_sync_frames = static_cast<int>(cap);
+    const SyncOutcome outcome = synchronize_fresh(fc, set, options);
+    if (outcome.status == SeqStatus::Success) {
+      EXPECT_LE(outcome.frames.size(), cap);
+      EXPECT_TRUE(establishes(nl, outcome.frames, set));
+    }
+  }
+  EXPECT_GT(capped, 0);
+}
+
+TEST(SyncLibraryTest, PureFunctionOfTheCircuit) {
+  const net::Netlist nl = circuits::load_circuit("s1196");
+  const auto a = sim::FlatCircuit::build(nl);
+  const auto b = sim::FlatCircuit::build(nl);
+  for (const Requirements& set : single_bits(nl)) {
+    std::vector<InputVec> frames_a;
+    std::vector<InputVec> frames_b;
+    EXPECT_EQ(a->sync_library().find_prefix(set, sim::SyncLibrary::kFrames,
+                                            &frames_a),
+              b->sync_library().find_prefix(set, sim::SyncLibrary::kFrames,
+                                            &frames_b));
+    EXPECT_EQ(frames_a, frames_b);
+  }
+}
+
+// Single-bit synchronization at the paper budget: the pairs the library
+// establishes on top of the reverse-time search. `search_only` is what the
+// search alone achieved; the library may only add to it.
+TEST(SyncLibraryTest, SingleBitSuccessCounts) {
+  struct Row {
+    const char* name;
+    int search_only;
+    int with_library;
+  };
+  for (const Row& row : {Row{"s344", 24, 28}, Row{"s349", 19, 25},
+                         Row{"s641", 28, 37}, Row{"s713", 37, 38},
+                         Row{"s838", 57, 62}, Row{"s1196", 23, 31},
+                         Row{"s1238", 26, 34}}) {
+    const net::Netlist nl = circuits::load_circuit(row.name);
+    const auto fc = sim::FlatCircuit::build(nl);
+    int successes = 0;
+    for (const Requirements& set : single_bits(nl)) {
+      const SyncOutcome outcome = synchronize_fresh(fc, set);
+      if (outcome.status == SeqStatus::Success) {
+        ++successes;
+        EXPECT_TRUE(establishes(nl, outcome.frames, set)) << row.name;
+      }
+    }
+    EXPECT_EQ(successes, row.with_library) << row.name;
+    EXPECT_GE(successes, row.search_only) << row.name;
+  }
+}
+
+// Threads racing the lazy build of one shared circuit's library must all
+// see the same library (run under TSan in CI).
+TEST(SyncLibraryTest, ConcurrentFirstUseAgrees) {
+  constexpr int kThreads = 4;
+  const net::Netlist nl = circuits::load_circuit("s1196");
+  const auto fc = sim::FlatCircuit::build(nl);
+  const std::vector<Requirements> sets = single_bits(nl);
+  std::vector<std::vector<SyncOutcome>> outcomes(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const Requirements& set : sets) {
+        outcomes[t].push_back(synchronize_fresh(fc, set));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_EQ(outcomes[0].size(), sets.size());
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_TRUE(outcomes[t] == outcomes[0]) << "thread " << t;
+  }
 }
 
 TEST(StuckAtTest, S27MostFaultsTestable) {
