@@ -126,23 +126,18 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       config.resume = true;
     } else if (arg == "--seed") {
       config.atpg.fill_seed = parse_u64(arg, value_of(i, arg));
-    } else if (arg == "--tdsim") {
-      const std::string engine = value_of(i, arg);
-      if (engine == "cpt") {
-        config.atpg.tdsim_engine = core::TdsimEngine::Cpt;
-      } else if (engine == "exact") {
-        config.atpg.tdsim_engine = core::TdsimEngine::Exact;
-      } else {
-        throw Error("--tdsim expects 'exact' or 'cpt', got '" + engine +
-                    "'");
-      }
     } else if (arg == "--no-fault-dropping") {
       config.atpg.fault_dropping = false;
     } else if (arg == "--no-branch-faults") {
       config.atpg.fault_sites.include_branches = false;
       config.atpg.expand_branches = false;
     } else if (arg == "--jobs" || arg == "-j") {
-      config.jobs = static_cast<unsigned>(parse_int(arg, value_of(i, arg)));
+      const std::string text = value_of(i, arg);
+      const std::uint64_t jobs = parse_u64(arg, text);
+      check(jobs <= run::ThreadPool::kMaxThreads,
+            arg + " value out of range (at most " +
+                std::to_string(run::ThreadPool::kMaxThreads) + "): " + text);
+      config.jobs = static_cast<unsigned>(jobs);
     } else if (arg == "--shard-faults") {
       config.shard = run::parse_shard_faults(value_of(i, arg));
     } else if (arg == "--bench-dir") {
@@ -240,13 +235,15 @@ std::string usage() {
       "\n"
       "parallelism:\n"
       "  -j, --jobs N            worker threads for the sweep (0 = all\n"
-      "                          hardware threads) [0]; output order and\n"
-      "                          bytes are independent of N\n"
+      "                          hardware threads, at most 1024) [0];\n"
+      "                          output order and bytes are independent\n"
+      "                          of N\n"
       "      --shard-faults P    intra-circuit fault sharding: 'auto'\n"
       "                          (large circuits fan their fault list\n"
       "                          into generation epochs on idle workers),\n"
-      "                          'off', or a forced worker count [auto];\n"
-      "                          bytes are independent of P\n"
+      "                          'off', or a forced worker count of at\n"
+      "                          most 1024 [auto]; bytes are independent\n"
+      "                          of P\n"
       "\n"
       "parameter matrices (comma-separated lists; the cross product runs\n"
       "per circuit and adds config columns to the CSV — requires --csv):\n"
@@ -282,9 +279,6 @@ std::string usage() {
       "      --seed N            RNG seed for X-fill         [1995]\n"
       "      --no-fault-dropping disable dropping via fault simulation\n"
       "      --no-branch-faults  gate outputs only, no fanout branches\n"
-      "      --tdsim ENGINE      phase-3 fault simulation engine:\n"
-      "                          'cpt' (critical path tracing, default)\n"
-      "                          or 'exact' (per-fault injection)\n"
       "\n"
       "robust execution:\n"
       "      --on-error POLICY   what a failing cell does: 'abort' (fail\n"

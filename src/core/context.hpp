@@ -10,7 +10,7 @@
 //
 // Two AtpgOptions produce the same context iff their structural knobs
 // (expand_branches, fault_sites) agree; the per-run knobs (algebra mode,
-// backtrack limits, seed, fault dropping, TDsim engine) do not enter the
+// backtrack limits, seed, fault dropping, work budget) do not enter the
 // context. `structurally_compatible` is the exact predicate.
 #pragma once
 

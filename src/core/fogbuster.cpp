@@ -473,10 +473,7 @@ void Fogbuster::apply_test(const TestSequence& sequence,
       targets.push_back(result->faults[j]);
     }
   }
-  const std::vector<bool> detected =
-      options_.tdsim_engine == TdsimEngine::Exact
-          ? tdsim_.detect_exact(request, targets)
-          : tdsim_.detect_cpt(request, targets);
+  const std::vector<bool> detected = tdsim_.detect_cpt(request, targets);
   for (std::size_t t = 0; t < targets.size(); ++t) {
     if (detected[t]) {
       result->status[untested[t]] = FaultStatus::Tested;

@@ -12,9 +12,6 @@
 
 namespace gdf::core {
 
-/// Phase-3 delay fault simulation engine (see tdsim/tdsim.hpp).
-enum class TdsimEngine : std::uint8_t { Cpt, Exact };
-
 /// Conflict-driven learning in the two-frame search (--learn). On (the
 /// default) keeps every learned clause private to its fault, so each
 /// per-fault search stays a pure function of (context, fault, options).
@@ -42,11 +39,6 @@ struct AtpgOptions {
   /// Fault-simulate after each successful generation and drop the
   /// additionally detected faults (paper §5/§6).
   bool fault_dropping = true;
-
-  /// Which TDsim engine phase 3 uses: critical path tracing (fast, the
-  /// default) or exact per-fault injection (the reference). The two agree
-  /// exactly; exposing the choice makes that checkable from the CLI.
-  TdsimEngine tdsim_engine = TdsimEngine::Cpt;
 
   // kept for perfbench; drop at the next benchmark change
   sim::LaneSpec lanes;

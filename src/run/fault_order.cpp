@@ -53,9 +53,7 @@ std::vector<long> accidental_detection_counts(
       const tdsim::TdsimRequest request =
           core::make_tdsim_request(nl, fausim, trace, fast, {});
       const std::vector<bool> detected =
-          options.tdsim_engine == core::TdsimEngine::Exact
-              ? tdsim.detect_exact(request, ctx.faults())
-              : tdsim.detect_cpt(request, ctx.faults());
+          tdsim.detect_cpt(request, ctx.faults());
       for (std::size_t j = 0; j < detected.size(); ++j) {
         counts[j] += detected[j] ? 1 : 0;
       }

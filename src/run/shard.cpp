@@ -27,6 +27,10 @@ ShardConfig parse_shard_faults(std::string_view text) {
   check(ec == std::errc() && ptr == last && workers > 0,
         "--shard-faults expects 'auto', 'off', or a positive worker "
         "count, got '" + std::string(text) + "'");
+  check(workers <= ThreadPool::kMaxThreads,
+        "--shard-faults worker count out of range (at most " +
+            std::to_string(ThreadPool::kMaxThreads) + "): " +
+            std::string(text));
   config.policy = ShardConfig::Policy::Forced;
   config.workers = workers;
   return config;

@@ -59,8 +59,8 @@ struct ShardConfig {
   bool operator==(const ShardConfig&) const = default;
 };
 
-/// Parses a --shard-faults value: "off" | "auto" | a positive worker
-/// count. Throws gdf::Error otherwise.
+/// Parses a --shard-faults value: "off" | "auto" | a worker count in
+/// [1, ThreadPool::kMaxThreads]. Throws gdf::Error otherwise.
 ShardConfig parse_shard_faults(std::string_view text);
 std::string shard_faults_name(const ShardConfig& config);
 

@@ -14,8 +14,9 @@
 // on that job's options (each job is one AtpgSession with its own RNG and
 // engines; contexts are shared read-only), so a matrix cell's row and
 // stage counters equal those of the same cell swept alone, and the
-// emitted bytes are identical for any worker count — the determinism
-// ctest asserts jobs=1 versus jobs=4.
+// emitted bytes are identical for any worker count — test_determinism
+// pins the rows to committed goldens at several --jobs/--shard-faults
+// points.
 //
 // Two scheduling layers keep the wall time down without touching the
 // bytes:
@@ -84,7 +85,7 @@ std::vector<CircuitSource> catalog_sources(
 struct SweepSpec {
   std::vector<CircuitSource> circuits;
   /// Base configuration; axes below override per cell. Knobs without an
-  /// axis (e.g. tdsim engine, per-fault cap) apply to every cell.
+  /// axis (e.g. learning mode, --fault-budget) apply to every cell.
   core::AtpgOptions base;
   /// Root of genuine ISCAS'89 .bench files overriding the generated
   /// catalog ("" = generated substitutes only). See circuits::

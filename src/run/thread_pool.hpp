@@ -103,6 +103,11 @@ class ThreadPool {
   /// hardware", and the result is always at least 1.
   static unsigned resolve_jobs(unsigned requested);
 
+  /// Largest worker count --jobs and --shard-faults accept. A sweep that
+  /// can shard starts the requested number of threads as-is, so the
+  /// parsers reject anything larger as an input error.
+  static constexpr unsigned kMaxThreads = 1024;
+
  private:
   void worker_loop(std::size_t self);
   /// Pops the next task for worker `self` (own front, then a registered

@@ -1,12 +1,19 @@
 # Kill-and-resume determinism on the gdf_atpg binary: a journaled sweep
 # interrupted mid-run (SIGINT while a fault-injected stall pins one cell)
 # must exit 3 with a valid partial prefix, and the --resume rerun must
-# emit CSV byte-identical to an uninterrupted reference run. Registered by
+# emit CSV byte-identical to an uninterrupted reference run. That
+# reference must itself equal the golden's rows for the circuits swept —
+# the one check on the binary's own stdout bytes. Registered by
 # tests/CMakeLists.txt as the `cli_resume_determinism` ctest.
 #
-# Usage: cmake -DGDF_ATPG=<path> -P check_resume_determinism.cmake
+# Usage: cmake -DGDF_ATPG=<path> -DGOLDEN=<golden_catalog.csv>
+#        -P check_resume_determinism.cmake
 
-set(circuits --circuit s27 --circuit c17 --circuit s298 --circuit s344)
+set(circuit_names s27 c17 s298 s344)
+set(circuits "")
+foreach(name IN LISTS circuit_names)
+  list(APPEND circuits --circuit ${name})
+endforeach()
 set(sweep_args ${circuits} --csv --no-seconds --jobs 2)
 set(journal ${CMAKE_CURRENT_BINARY_DIR}/resume_determinism.journal)
 file(REMOVE ${journal})
@@ -18,6 +25,21 @@ execute_process(
   RESULT_VARIABLE reference_rc)
 if(NOT reference_rc EQUAL 0)
   message(FATAL_ERROR "reference run failed (rc=${reference_rc})")
+endif()
+
+# The golden's header plus its row for each circuit, in sweep order.
+file(STRINGS ${GOLDEN} golden_lines)
+list(GET golden_lines 0 expected)
+string(APPEND expected "\n")
+foreach(name IN LISTS circuit_names)
+  set(row ${golden_lines})
+  list(FILTER row INCLUDE REGEX "^${name},")
+  string(APPEND expected "${row}\n")
+endforeach()
+if(NOT reference_out STREQUAL expected)
+  message(FATAL_ERROR "the uninterrupted run does not match the golden:\n"
+                      "=== gdf_atpg ===\n${reference_out}\n"
+                      "=== expected (${GOLDEN}) ===\n${expected}")
 endif()
 
 # Interrupted run: the stall directive pins s298's cell for far longer

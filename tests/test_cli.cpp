@@ -1,4 +1,4 @@
-// The gdf_atpg argument parser and the CLI-reachable engine choices.
+// The gdf_atpg argument parser and the --bench round trip.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -32,19 +32,9 @@ TEST(ArgsTest, BenchAloneIsEnoughToRun) {
   EXPECT_THROW(parse({"--csv"}), Error);
 }
 
-TEST(ArgsTest, TdsimEngineChoices) {
-  EXPECT_EQ(parse({"--all"}).atpg.tdsim_engine, core::TdsimEngine::Cpt);
-  EXPECT_EQ(parse({"--all", "--tdsim", "exact"}).atpg.tdsim_engine,
-            core::TdsimEngine::Exact);
-  EXPECT_EQ(parse({"--all", "--tdsim", "cpt"}).atpg.tdsim_engine,
-            core::TdsimEngine::Cpt);
-  EXPECT_THROW(parse({"--all", "--tdsim", "fast"}), Error);
-}
-
 TEST(ArgsTest, UsageMentionsNewFlags) {
   const std::string text = usage();
   EXPECT_NE(text.find("--bench"), std::string::npos);
-  EXPECT_NE(text.find("--tdsim"), std::string::npos);
   EXPECT_NE(text.find("--jobs"), std::string::npos);
   EXPECT_NE(text.find("--fault-order"), std::string::npos);
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
@@ -114,7 +104,8 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
         std::initializer_list<const char*>{"--all", "--restarts", "off"},
         std::initializer_list<const char*>{"--all", "--restart-base", "8"},
         std::initializer_list<const char*>{"--all", "--lanes", "64"},
-        std::initializer_list<const char*>{"--all", "--shard-epoch", "8"}}) {
+        std::initializer_list<const char*>{"--all", "--shard-epoch", "8"},
+        std::initializer_list<const char*>{"--all", "--tdsim", "exact"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);
@@ -137,14 +128,23 @@ TEST(ArgsTest, ShardFlags) {
 
   EXPECT_THROW(parse({"--all", "--shard-faults", "sideways"}), Error);
   EXPECT_THROW(parse({"--all", "--shard-faults", "0"}), Error);
+  // A sweep that can shard starts this many threads, so the bound is
+  // checked here and never by starting one.
+  EXPECT_EQ(parse({"--all", "--shard-faults", "1024"}).shard.workers, 1024u);
+  EXPECT_THROW(parse({"--all", "--shard-faults", "1025"}), Error);
+  EXPECT_THROW(run::parse_shard_faults("1025"), Error);
 }
 
 TEST(ArgsTest, JobsAndBenchDir) {
   const DriverConfig config =
       parse({"--all", "--jobs", "4", "--bench-dir", "/tmp/iscas"});
   EXPECT_EQ(config.jobs, 4u);
+  EXPECT_EQ(sweep_spec(config).jobs, 4u);
   EXPECT_EQ(config.bench_dir, "/tmp/iscas");
   EXPECT_EQ(parse({"--all"}).jobs, 0u);  // 0 = hardware concurrency
+  EXPECT_EQ(parse({"--all", "--jobs", "1024"}).jobs, 1024u);
+  EXPECT_THROW(parse({"--all", "--jobs", "1025"}), Error);
+  EXPECT_THROW(parse({"--all", "-j", "100000"}), Error);
 }
 
 TEST(ArgsTest, MatrixAxesAreCommaLists) {
@@ -178,23 +178,6 @@ TEST(ArgsTest, BadAxisValuesThrow) {
   EXPECT_THROW(parse({"--all", "--csv", "--dropping", "maybe"}), Error);
   EXPECT_THROW(parse({"--all", "--csv", "--fault-sites", "none"}), Error);
   EXPECT_THROW(parse({"--all", "--csv", "--seeds", "1,,2"}), Error);
-}
-
-// The two TDsim engines must be interchangeable from one binary: the full
-// flow produces identical Table-3 rows either way.
-TEST(TdsimEngineSmokeTest, ExactAndCptAgreeOnS27) {
-  const net::Netlist nl = circuits::load_circuit("s27");
-  core::AtpgOptions cpt;
-  cpt.tdsim_engine = core::TdsimEngine::Cpt;
-  core::AtpgOptions exact;
-  exact.tdsim_engine = core::TdsimEngine::Exact;
-  const core::FogbusterResult a = core::run_delay_atpg(nl, cpt);
-  const core::FogbusterResult b = core::run_delay_atpg(nl, exact);
-  EXPECT_EQ(a.tested(), b.tested());
-  EXPECT_EQ(a.untestable(), b.untestable());
-  EXPECT_EQ(a.aborted(), b.aborted());
-  EXPECT_EQ(a.pattern_count, b.pattern_count);
-  EXPECT_EQ(a.status, b.status);
 }
 
 // --bench round trip: a catalog circuit serialized to .bench and loaded

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
+#include "core/context.hpp"
+#include "core/fogbuster.hpp"
+#include "fausim/fausim.hpp"
 #include "netlist/fanout.hpp"
 #include "tdsim/tdsim.hpp"
 
@@ -116,6 +121,41 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SweepCase>& info) {
       return info.param.circuit;
     });
+
+// The flow drops faults with detect_cpt on requests whose PPO
+// observability is partial and which carry the test's needed PPOs —
+// requests CptEquivalence never draws. Rebuild each dropping request of a
+// paper-configuration run the way Fogbuster::apply_test builds it (the
+// X-fill stream consumed in test order) and hold CPT to the exact engine
+// over every fault.
+TEST(FlowDroppingRequests, CptMatchesExact) {
+  for (const char* name : {"s27", "s298"}) {
+    const auto ctx = core::CircuitContext::build(circuits::load_circuit(name));
+    const core::AtpgOptions options;
+    const core::FogbusterResult result = core::Fogbuster(ctx, options).run();
+    fausim::Fausim fausim(ctx->flat());
+    const Tdsim tdsim(ctx->model(), ctx->algebra(options.mode));
+    Rng fill(options.fill_seed);
+    int partial_observability = 0;
+    int with_needed_ppos = 0;
+    for (std::size_t k = 0; k < result.tests.size(); ++k) {
+      const core::TestSequence& test = result.tests[k];
+      const fausim::Fausim::GoodTrace trace =
+          fausim.simulate_good(test.all_frames(), fill);
+      const TdsimRequest request = core::make_tdsim_request(
+          ctx->netlist(), fausim, trace, test.fast_index(), test.needed_ppos);
+      partial_observability +=
+          std::count(request.observable_ppo.begin(),
+                     request.observable_ppo.end(), false) > 0;
+      with_needed_ppos += !request.needed_ppos.empty();
+      EXPECT_EQ(tdsim.detect_exact(request, ctx->faults()),
+                tdsim.detect_cpt(request, ctx->faults()))
+          << name << " test " << k;
+    }
+    EXPECT_GT(partial_observability, 0) << name;
+    EXPECT_GT(with_needed_ppos, 0) << name;
+  }
+}
 
 TEST(TdsimPpoPaths, ObservabilityGatesPpoCredit) {
   // s27, fault G13 StR: G13 feeds only DFF G7 — detection must go through
