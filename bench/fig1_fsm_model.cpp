@@ -1,7 +1,6 @@
 // Regenerates the structural view of paper Figure 1 (the finite state
 // machine model): every circuit decomposed into its combinational block
-// with PIs/PPIs on the input side and POs/PPOs on the output side
-// (experiment F1 of DESIGN.md).
+// with PIs/PPIs on the input side and POs/PPOs on the output side.
 #include <cstdio>
 
 #include "circuits/catalog.hpp"

@@ -1,7 +1,6 @@
 // Regenerates the time frame model of paper Figure 2 on real generated
 // tests: initialization frames under the slow clock, the test frame under
-// the fast clock, and propagation frames under the slow clock again
-// (experiment F2 of DESIGN.md).
+// the fast clock, and propagation frames under the slow clock again.
 #include <cstdio>
 
 #include "circuits/embedded.hpp"

@@ -1,6 +1,6 @@
 // Regenerates paper Table 1 (the eight-valued AND truth table) and Table 2
-// (the inverter), plus the non-robust relaxation cells — experiment T1/T2
-// of DESIGN.md.
+// (the inverter), plus the non-robust relaxation cells. The AND table is
+// reconstructed from waveform semantics (see algebra/tables.cpp).
 #include <cstdio>
 
 #include "algebra/tables.hpp"

@@ -1,9 +1,8 @@
 // Regenerates paper Table 3: robust gate delay fault test generation for
-// the ISCAS'89 benchmark set (experiment T3 of DESIGN.md). Columns match
-// the paper: tested faults, untestable faults, aborted faults, generated
-// patterns (including initialization and propagation), and wall-clock
-// seconds. Abort limits are the paper's (100 local / 100 sequential
-// backtracks).
+// the ISCAS'89 benchmark set. Columns match the paper: tested faults,
+// untestable faults, aborted faults, generated patterns (including
+// initialization and propagation), and wall-clock seconds. Abort limits
+// are the paper's (100 local / 100 sequential backtracks).
 //
 // Usage: table3_benchmarks [circuit ...]   (default: all twelve rows)
 #include <algorithm>
@@ -44,7 +43,8 @@ int main(int argc, char** argv) {
               "simulation %ld)\n",
               total.targeted, total.dropped);
   std::printf("note: circuits other than s27 are synthetic ISCAS-like "
-              "substitutes (see DESIGN.md); compare shapes, not absolute "
+              "substitutes (README, \"Running sweeps\", shows gdf_atpg "
+              "on the real netlists); compare shapes, not absolute "
               "values.\n");
   return 0;
 }

@@ -3,7 +3,8 @@
 // s27 (sequential) and c17 (combinational) are small enough to ship
 // verbatim from the public ISCAS benchmark suites; they anchor the test
 // suite to real circuits. The larger ISCAS'89 circuits of Table 3 are
-// substituted by the synthetic generator (see generator.hpp and DESIGN.md).
+// substituted by the synthetic generator (see generator.hpp, and README's
+// "Running sweeps" for loading genuine .bench files instead).
 #pragma once
 
 #include <string_view>

@@ -1,8 +1,8 @@
 // Structural profiles of the ISCAS'89 circuits evaluated in Table 3 of the
 // paper, used to parameterize the synthetic generator. PI/PO/FF/gate counts
 // follow the published benchmark documentation (approximate where variants
-// of the suite disagree; absolute agreement is not required — see
-// DESIGN.md §3 "Substitutions").
+// of the suite disagree; absolute agreement is not required, since the
+// generated circuits are structural substitutes, not the real netlists).
 #pragma once
 
 #include <cstdint>

@@ -98,10 +98,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
     } else if (arg == "--seq-backtracks") {
       config.atpg.sequential.backtrack_limit =
           parse_int(arg, value_of(i, arg));
-    } else if (arg == "--decision-limit") {
-      const int limit = parse_int(arg, value_of(i, arg));
-      config.atpg.local.decision_limit = limit;
-      config.atpg.sequential.decision_limit = limit;
     } else if (arg == "--learn") {
       const std::string mode = value_of(i, arg);
       if (mode == "on") {
@@ -259,7 +255,6 @@ std::string usage() {
       "      --non-robust        non-robust algebra (§7 outlook / ablation)\n"
       "      --local-backtracks N   TDgen abort limit        [100]\n"
       "      --seq-backtracks N     SEMILET abort limit      [100]\n"
-      "      --decision-limit N     safety net, both engines [200000]\n"
       "      --fault-budget N    deterministic work cap per fault, counted\n"
       "                          in implication-engine assignments: the\n"
       "                          fault aborts once the search spends N\n"

@@ -216,8 +216,8 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
   // charged by the local search and every re-entry, never reset — the
   // abort point is a pure function of this fault, so it lands on the
   // same verdict at any --jobs/--shard-faults. A TDgen abort with the
-  // budget exhausted is attributed to it; otherwise to the backtrack/
-  // decision limits as before.
+  // budget exhausted is attributed to it; otherwise to the backtrack
+  // limit.
   tdgen::WorkBudget work_budget(options_.fault_budget);
   const auto abort_local = [&] {
     if (options_.fault_budget > 0 && work_budget.exhausted()) {

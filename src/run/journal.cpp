@@ -70,7 +70,6 @@ std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout) {
        << (o.mode == alg::Mode::Robust ? "robust" : "nonrobust") << '|'
        << fault_order_name(job.order) << '|' << o.fill_seed << '|'
        << o.local.backtrack_limit << '/' << o.sequential.backtrack_limit
-       << '|' << o.local.decision_limit << '/' << o.sequential.decision_limit
        << '|' << o.sequential.max_propagation_frames << '/'
        << o.sequential.max_sync_frames << '|'
        << (o.fault_dropping ? "drop" : "nodrop") << '|'

@@ -345,11 +345,7 @@ bool FramePodem::backtrace(GateId line, Lv value, Decision* decision) const {
   }
 }
 
-bool FramePodem::apply(const Decision& d) {
-  if (!budget_->note_decision()) {
-    aborted_ = true;
-    return false;
-  }
+void FramePodem::apply(const Decision& d) {
   if (d.is_ppi) {
     GDF_ASSERT(state_[d.index] == Lv::X, "PPI already assigned");
     state_[d.index] = d.value;
@@ -359,7 +355,6 @@ bool FramePodem::apply(const Decision& d) {
   }
   changed_sources_.emplace_back(d.is_ppi, d.index);
   stack_.push_back(d);
-  return true;
 }
 
 bool FramePodem::backtrack() {
@@ -418,59 +413,30 @@ PodemStatus FramePodem::next(FrameSolution* out) {
   if (aborted_) {
     return PodemStatus::Aborted;
   }
-  // After a PPO-only solution the region may still contain a PO-hitting
-  // refinement (the D-frontier is not empty); keep deciding instead of
-  // backtracking so those are not skipped. Full PO hits and justification
-  // solutions have nothing left to refine.
-  bool need_progress = false;
-  if (started_) {
-    if (last_was_refinable_) {
-      need_progress = true;
-    } else if (!backtrack()) {
-      return aborted_ ? PodemStatus::Aborted : PodemStatus::Exhausted;
-    }
+  // Resume past the previous solution.
+  if (started_ && !backtrack()) {
+    return aborted_ ? PodemStatus::Aborted : PodemStatus::Exhausted;
   }
   started_ = true;
   for (;;) {
     simulate();
-    const bool ok = success();
-    if (ok && !need_progress) {
+    if (success()) {
       if (out != nullptr) {
         fill_solution(out);
       }
-      last_was_refinable_ = request_.mode == PodemMode::ObserveFault &&
-                            request_.refine_toward_po && out != nullptr &&
-                            !out->po_hit;
       return PodemStatus::Solution;
-    }
-    if (!ok && hopeless()) {
-      if (!backtrack()) {
-        return aborted_ ? PodemStatus::Aborted : PodemStatus::Exhausted;
-      }
-      need_progress = false;
-      continue;
     }
     GateId line;
     Lv value;
-    if (!choose_objective(&line, &value)) {
-      if (!backtrack()) {
-        return aborted_ ? PodemStatus::Aborted : PodemStatus::Exhausted;
-      }
-      need_progress = false;
-      continue;
-    }
     Decision d;
-    if (!backtrace(line, value, &d)) {
+    if (hopeless() || !choose_objective(&line, &value) ||
+        !backtrace(line, value, &d)) {
       if (!backtrack()) {
         return aborted_ ? PodemStatus::Aborted : PodemStatus::Exhausted;
       }
-      need_progress = false;
       continue;
     }
-    if (!apply(d)) {
-      return PodemStatus::Aborted;
-    }
-    need_progress = false;
+    apply(d);
   }
 }
 

@@ -38,10 +38,8 @@ struct PodemRequest {
   std::vector<std::pair<net::GateId, sim::Lv>> objectives;
   /// ObserveFault: when true only a PO counts as success.
   bool require_po = false;
-  /// ObserveFault: after a PPO-only solution, keep deciding toward a PO
-  /// before abandoning the region. Disable for advance-only searches.
-  bool refine_toward_po = true;
-  /// Static fault forced during this frame (stuck-at use).
+  /// Static fault forced during this frame (a stuck-at fault whose effect
+  /// the search activates and observes).
   sim::Injection injection;
   /// ObserveFault with injection: while no fault effect exists yet, chase
   /// this activation objective (site line driven to the non-stuck value).
@@ -82,7 +80,7 @@ class FramePodem {
   bool hopeless() const;
   bool choose_objective(net::GateId* line, sim::Lv* value) const;
   bool backtrace(net::GateId line, sim::Lv value, Decision* decision) const;
-  bool apply(const Decision& d);
+  void apply(const Decision& d);
   bool backtrack();
   void fill_solution(FrameSolution* out) const;
 
@@ -108,7 +106,6 @@ class FramePodem {
   mutable std::vector<net::GateId> bfs_;
   bool started_ = false;
   bool aborted_ = false;
-  bool last_was_refinable_ = false;
 };
 
 }  // namespace gdf::semilet

@@ -10,7 +10,6 @@ struct SemiletOptions {
   int backtrack_limit = 100;        ///< paper §6
   int max_propagation_frames = 40;  ///< forward time processing depth
   int max_sync_frames = 40;         ///< reverse time processing depth
-  long decision_limit = 200000;     ///< safety net
 };
 
 class Budget {
@@ -23,24 +22,14 @@ class Budget {
     return backtracks_ <= options_.backtrack_limit;
   }
 
-  bool note_decision() {
-    ++decisions_;
-    return decisions_ <= options_.decision_limit;
-  }
-
-  bool exhausted() const {
-    return backtracks_ > options_.backtrack_limit ||
-           decisions_ > options_.decision_limit;
-  }
+  bool exhausted() const { return backtracks_ > options_.backtrack_limit; }
 
   int backtracks() const { return backtracks_; }
-  long decisions() const { return decisions_; }
   const SemiletOptions& options() const { return options_; }
 
  private:
   SemiletOptions options_;
   int backtracks_ = 0;
-  long decisions_ = 0;
 };
 
 }  // namespace gdf::semilet

@@ -25,23 +25,19 @@ bool has_fault_effect(const sim::StateVec& state) {
 
 }  // namespace
 
-Propagator::Propagator(const net::Netlist& nl, Budget& budget,
-                       sim::Injection injection)
-    : nl_(&nl), sim_(nl), budget_(&budget), injection_(injection) {}
+Propagator::Propagator(const net::Netlist& nl, Budget& budget)
+    : nl_(&nl), sim_(nl), budget_(&budget) {}
 
 Propagator::Propagator(std::shared_ptr<const sim::FlatCircuit> fc,
-                       Budget& budget, sim::Injection injection)
-    : nl_(&fc->netlist()),
-      sim_(std::move(fc)),
-      budget_(&budget),
-      injection_(injection) {}
+                       Budget& budget)
+    : nl_(&fc->netlist()), sim_(std::move(fc)), budget_(&budget) {}
 
 void Propagator::start(sim::StateVec boundary_state,
                        std::vector<bool> assignable) {
   layers_.clear();
   seen_.clear();
   started_ = true;
-  if (!has_fault_effect(boundary_state) && !injection_.active()) {
+  if (!has_fault_effect(boundary_state)) {
     return;  // nothing to propagate; next() reports Exhausted
   }
   seen_.insert(state_key(boundary_state));
@@ -59,11 +55,9 @@ bool Propagator::push_layer(sim::StateVec in_state,
   po_request.mode = PodemMode::ObserveFault;
   po_request.in_state = in_state;
   po_request.assignable_ppi = assignable;
-  po_request.injection = injection_;
   po_request.require_po = true;
   PodemRequest advance_request = po_request;
   advance_request.require_po = false;
-  advance_request.refine_toward_po = false;
   Layer layer;
   layer.po_podem =
       std::make_unique<FramePodem>(sim_, *budget_, std::move(po_request));
@@ -154,7 +148,6 @@ bool Propagator::justify(PropagationOutcome* out) {
           request.in_state[i] == Lv::X && below.assignable[i];
     }
     request.base_pis = justified_pis[t - 1];
-    request.injection = injection_;
     for (const auto& [ff, v] : reqs[t]) {
       request.objectives.emplace_back(
           nl_->gate(nl_->dffs()[ff]).fanin[0], v);

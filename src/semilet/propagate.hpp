@@ -38,17 +38,14 @@ struct PropagationOutcome {
 
 class Propagator {
  public:
-  /// `injection` (optional) keeps a static fault active in every
-  /// propagation frame — used by the stuck-at facade. The gate-delay flow
-  /// passes an empty injection: under a slow clock the delay fault does not
-  /// occur ("the fault location is not needed to be known by SEMILET").
-  Propagator(const net::Netlist& nl, Budget& budget,
-             sim::Injection injection = {});
+  /// No fault is injected in the propagation frames: under a slow clock
+  /// the delay fault does not occur ("the fault location is not needed to
+  /// be known by SEMILET").
+  Propagator(const net::Netlist& nl, Budget& budget);
 
   /// Shares an already-built flat circuit form (see sim/flat_circuit) so
   /// repeated searches over one netlist do not rebuild the structure.
-  Propagator(std::shared_ptr<const sim::FlatCircuit> fc, Budget& budget,
-             sim::Injection injection = {});
+  Propagator(std::shared_ptr<const sim::FlatCircuit> fc, Budget& budget);
 
   /// Begins a new enumeration from the boundary state. `assignable`
   /// marks the X bits the search may require values for (TDgen re-entry).
@@ -76,7 +73,6 @@ class Propagator {
   const net::Netlist* nl_;
   sim::SeqSimulator sim_;
   Budget* budget_;
-  sim::Injection injection_;
   std::vector<Layer> layers_;
   std::set<std::string> seen_;
   bool started_ = false;

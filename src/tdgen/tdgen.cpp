@@ -64,11 +64,6 @@ void TdgenSearch::pin_ppo(std::size_t dff_index, VSet allowed) {
   pins_.push_back({dff_index, allowed});
 }
 
-void TdgenSearch::require_observation(NodeId obs_node) {
-  GDF_ASSERT(!started_, "require_observation after the search started");
-  required_obs_ = obs_node;
-}
-
 bool TdgenSearch::start() {
   if (options_.init_donor == nullptr ||
       !engine_.init_from(*options_.init_donor, spec_)) {
@@ -89,10 +84,6 @@ bool TdgenSearch::start() {
       return false;
     }
   }
-  if (required_obs_.has_value() &&
-      !engine_.assign(*required_obs_, kCarrierSet)) {
-    return false;
-  }
   return true;
 }
 
@@ -104,9 +95,6 @@ bool TdgenSearch::carrier_possible_at_observation() const {
   // blocked case is the common one.
   if (engine_.carrier_path_blocked()) {
     return false;
-  }
-  if (required_obs_.has_value()) {
-    return (engine_.get(*required_obs_) & kCarrierSet) != 0;
   }
   for (const NodeId obs : model_->observation_points()) {
     if ((engine_.get(obs) & kCarrierSet) != 0) {
@@ -258,11 +246,6 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   if (observed.empty()) {
     return fail();
   }
-  if (required_obs_.has_value() &&
-      std::find(observed.begin(), observed.end(), *required_obs_) ==
-          observed.end()) {
-    return fail();
-  }
   CheckOutcome result;
   result.stimulus = std::move(stimulus);
   result.ppo_sets.reserve(model_->ppis().size());
@@ -391,7 +374,6 @@ bool TdgenSearch::push_decision(NodeId node, VSet try_set) {
   try_set &= current;
   GDF_ASSERT(try_set != kEmptySet && try_set != current,
              "decision must strictly split a set");
-  ++decisions_;
   if (options_.learn && options_.vsids) {
     saved_phase_[node] = try_set;
   }
@@ -628,10 +610,6 @@ TdgenStatus TdgenSearch::next(LocalTest* out) {
         aborted_ = true;
         return TdgenStatus::Aborted;
       }
-    }
-    if (decisions_ > options_.decision_limit) {
-      aborted_ = true;
-      return TdgenStatus::Aborted;
     }
     if (engine_.conflict() || !carrier_possible_at_observation()) {
       // Only engine conflicts carry a trail to analyze; a merely blocked

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -84,8 +83,7 @@ struct SearchCounters {
 };
 
 struct TdgenOptions {
-  int backtrack_limit = 100;     ///< paper §6
-  long decision_limit = 200000;  ///< safety net against pathological cases
+  int backtrack_limit = 100;  ///< paper §6
   /// Conflict-driven mode: learn blocking implicates from every engine
   /// conflict, backjump non-chronologically to the deepest involved level,
   /// memoize successful verification probes, and lift don't-cares cheapest
@@ -151,15 +149,10 @@ class TdgenSearch {
   /// propagation justification re-entry). Call before the first next().
   void pin_ppo(std::size_t dff_index, alg::VSet allowed);
 
-  /// Requires the fault effect to be observed at this node (e.g. the PPO
-  /// the propagation phase starts from). Call before the first next().
-  void require_observation(alg::NodeId obs_node);
-
   /// Produces the next distinct verified local test.
   TdgenStatus next(LocalTest* out);
 
   int backtracks() const { return backtracks_; }
-  long decisions() const { return decisions_; }
 
  private:
   struct Decision {
@@ -211,7 +204,6 @@ class TdgenSearch {
   std::vector<alg::NodeId> cone_storage_;
   const std::vector<alg::NodeId>* cone_;
   std::vector<PpoPin> pins_;
-  std::optional<alg::NodeId> required_obs_;
   /// Engine trail pushes already charged to options_.work_budget — the
   /// decision loop charges deltas so shared budgets accumulate exactly
   /// one search's work once, however often next() resumes.
@@ -265,7 +257,6 @@ class TdgenSearch {
   bool started_ = false;
   bool aborted_ = false;
   int backtracks_ = 0;
-  long decisions_ = 0;
 };
 
 }  // namespace gdf::tdgen

@@ -105,7 +105,9 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
         std::initializer_list<const char*>{"--all", "--restart-base", "8"},
         std::initializer_list<const char*>{"--all", "--lanes", "64"},
         std::initializer_list<const char*>{"--all", "--shard-epoch", "8"},
-        std::initializer_list<const char*>{"--all", "--tdsim", "exact"}}) {
+        std::initializer_list<const char*>{"--all", "--tdsim", "exact"},
+        std::initializer_list<const char*>{"--all", "--decision-limit",
+                                           "5"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);

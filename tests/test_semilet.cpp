@@ -373,7 +373,6 @@ TEST(SyncLibraryTest, HitSpendsNoSearch) {
     ASSERT_EQ(synchronizer.synchronize(set, &result), SeqStatus::Success);
     EXPECT_EQ(result.frames, prefix);
     EXPECT_EQ(budget.backtracks(), 0);
-    EXPECT_EQ(budget.decisions(), 0);
   }
   EXPECT_GT(hits, 0);
 }
@@ -475,73 +474,50 @@ TEST(SyncLibraryTest, ConcurrentFirstUseAgrees) {
   }
 }
 
-TEST(StuckAtTest, S27MostFaultsTestable) {
-  const net::Netlist nl = circuits::make_s27();
-  StuckAtAtpg atpg(nl, roomy());
-  sim::SeqSimulator simulator(nl);
-  int found = 0, untestable = 0, aborted = 0;
-  for (net::GateId line = 0; line < nl.size(); ++line) {
-    for (const bool sa1 : {false, true}) {
-      StuckAtTest test;
-      switch (atpg.generate({line, sa1}, &test)) {
-        case StuckAtStatus::TestFound: {
-          ++found;
-          // Independent replay with the fault injected.
-          const sim::Injection inj{line, sa1 ? Lv::One : Lv::Zero};
-          StateVec state = simulator.unknown_state();
-          std::vector<Lv> lines_v;
-          bool detected = false;
-          for (const InputVec& pis : test.frames) {
-            simulator.eval_frame(pis, state, lines_v, &inj);
-            for (const net::GateId po : nl.outputs()) {
-              detected = detected || sim::is_fault_effect(lines_v[po]);
-            }
-            state = simulator.next_state(lines_v);
-          }
-          EXPECT_TRUE(detected) << nl.gate(line).name
-                                << (sa1 ? " s-a-1" : " s-a-0");
-          break;
-        }
-        case StuckAtStatus::Untestable:
-          ++untestable;
-          break;
-        case StuckAtStatus::Aborted:
-          ++aborted;
-          break;
-      }
-    }
-  }
-  // s27's stuck-at faults are almost all sequentially testable.
-  EXPECT_GT(found, 25);
-  EXPECT_EQ(found + untestable + aborted, 34);
-}
-
-TEST(StuckAtTest, TinyBudgetAborts) {
-  const net::Netlist nl = circuits::load_circuit("s298");
-  SemiletOptions strangled;
-  strangled.backtrack_limit = 0;
-  strangled.decision_limit = 1;
-  StuckAtAtpg atpg(nl, strangled);
-  int aborted = 0;
-  for (net::GateId line = 0; line < 10; ++line) {
-    StuckAtTest test;
-    if (atpg.generate({line, false}, &test) == StuckAtStatus::Aborted) {
-      ++aborted;
-    }
-  }
-  EXPECT_GT(aborted, 0);
-}
-
 TEST(BudgetTest, CountsAndLimits) {
   SemiletOptions o;
   o.backtrack_limit = 2;
-  o.decision_limit = 3;
   Budget b(o);
   EXPECT_TRUE(b.note_backtrack());
   EXPECT_TRUE(b.note_backtrack());
   EXPECT_FALSE(b.note_backtrack());
   EXPECT_TRUE(b.exhausted());
   EXPECT_EQ(b.backtracks(), 3);
+}
+
+// With no backtrack to spend, a search that needs one ends Aborted, never
+// Exhausted, and leaves its budget exhausted: single-bit synchronization
+// and one-flip-flop propagation starts on s298.
+TEST(BudgetTest, ZeroBacktrackLimitAborts) {
+  const net::Netlist nl = circuits::load_circuit("s298");
+  const auto fc = sim::FlatCircuit::build(nl);
+  const SemiletOptions strangled{.backtrack_limit = 0};
+  const auto count_abort = [](SeqStatus status, const Budget& budget,
+                              int* aborts) {
+    EXPECT_NE(status, SeqStatus::Exhausted);
+    EXPECT_EQ(status == SeqStatus::Aborted, budget.exhausted());
+    *aborts += status == SeqStatus::Aborted ? 1 : 0;
+  };
+  int sync_aborts = 0;
+  for (const Requirements& set : single_bits(nl)) {
+    Budget budget(strangled);
+    Synchronizer synchronizer(fc, budget);
+    count_abort(synchronizer.synchronize(set, nullptr), budget, &sync_aborts);
+  }
+  const std::size_t n_ff = nl.dffs().size();
+  int propagation_aborts = 0;
+  for (std::size_t k = 0; k < n_ff; ++k) {
+    for (const Lv effect : {Lv::D, Lv::Dbar}) {
+      StateVec boundary(n_ff, Lv::X);
+      boundary[k] = effect;
+      Budget budget(strangled);
+      Propagator propagator(fc, budget);
+      propagator.start(std::move(boundary), std::vector<bool>(n_ff, true));
+      count_abort(propagator.next(nullptr), budget, &propagation_aborts);
+    }
+  }
+  EXPECT_GT(sync_aborts, 0);
+  EXPECT_GT(propagation_aborts, 0);
 }
 
 }  // namespace

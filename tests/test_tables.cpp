@@ -34,8 +34,9 @@ TEST(Table2Inverter, ExactPerPaper) {
 }
 
 TEST(Table1And, FullRobustTable) {
-  // Row order 0,1,R,F,0h,1h,Rc,Fc; reconstructed per DESIGN.md §2.1. The
-  // legible OCR rows of the paper (Rc and Fc) are asserted verbatim below.
+  // Row order 0,1,R,F,0h,1h,Rc,Fc; reconstructed from waveform semantics
+  // (see the table comment in algebra/tables.cpp). The legible OCR rows of
+  // the paper (Rc and Fc) are asserted verbatim below.
   const std::array<std::array<V8, 8>, 8> expected = {{
       {Z, Z, Z, Z, Z, Z, Z, Z},
       {Z, O, R, F, Zh, Oh, Rc, Fc},

@@ -221,19 +221,6 @@ TEST_F(S27Tdgen, PinForcesSteadyPpo) {
   }
 }
 
-TEST_F(S27Tdgen, RequiredObservationHonored) {
-  const DelayFault f{nl_.find("G13"), true};
-  // G13 feeds only DFF G7 (ppo index 2): require observation exactly there.
-  TdgenSearch search(model_, robust_algebra(), f);
-  search.require_observation(model_.ppo_node(2));
-  LocalTest test;
-  ASSERT_EQ(search.next(&test), TdgenStatus::TestFound);
-  EXPECT_EQ(classify_ppo(test.ppo_sets[2]), PpoKind::FaultD);
-  EXPECT_FALSE(test.observed_at_po);
-  ASSERT_EQ(test.observed_ppos.size(), 1u);
-  EXPECT_EQ(test.observed_ppos[0], 2u);
-}
-
 TEST(LocalTestHelpers, VectorsAndState) {
   LocalTest t;
   t.pi_sets = {alg::vset_of(V8::Rise), alg::vset_of(V8::Zero),
