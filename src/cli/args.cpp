@@ -235,8 +235,8 @@ std::string usage() {
       "                          output order and bytes are independent\n"
       "                          of N\n"
       "      --shard-faults P    intra-circuit fault sharding: 'auto'\n"
-      "                          (large circuits fan their fault list\n"
-      "                          into generation epochs on idle workers),\n"
+      "                          (large circuits generate a sliding\n"
+      "                          window of faults on idle workers),\n"
       "                          'off', or a forced worker count of at\n"
       "                          most 1024 [auto]; bytes are independent\n"
       "                          of P\n"

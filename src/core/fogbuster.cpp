@@ -506,8 +506,8 @@ FogbusterResult Fogbuster::run(std::span<const std::size_t> target_order) {
         "Fogbuster::run: target order size does not match the fault list");
   reset_run_state();
 
-  // The degenerate (epoch size 1, inline generation) form of the epoch
-  // loop in run/shard: every step below it goes through merge_targeted.
+  // The degenerate (window size 1, inline generation) form of run/shard's
+  // sliding window: every commit goes through merge_targeted.
   for (std::size_t pos = 0; pos < result.faults.size(); ++pos) {
     const std::size_t i = target_order.empty() ? pos : target_order[pos];
     if (result.status[i] != FaultStatus::Untested) {

@@ -144,14 +144,14 @@ class Fogbuster {
   FogbusterResult run(std::span<const std::size_t> target_order);
 
   /// Single-fault generation (no dropping); exposed for tests, the
-  /// flow-stage bench, and the epoch sharding engine (run/shard). The call
+  /// flow-stage bench, and the sharded run (run/shard). The call
   /// reads only the immutable context and the options — any number of
   /// threads may generate different faults on one instance concurrently.
   FaultStatus generate_for_fault(const tdgen::DelayFault& fault,
                                  TestSequence* out,
                                  StageStats* stages) const;
 
-  // --- Sharded-run building blocks (used by run/shard's epoch engine;
+  // --- Sharded-run building blocks (used by run/shard's sliding window;
   // --- run() is exactly the sequential composition of these) -----------
 
   /// A result skeleton: the canonical fault list, every status Untested.
@@ -165,11 +165,11 @@ class Fogbuster {
   /// count and, when fault dropping is enabled, fault-simulates it against
   /// the still-untested faults and drops every detected one. Consumes the
   /// X-fill RNG stream — calls must happen in targeting order, one thread
-  /// at a time (the epoch merge serializes here).
+  /// at a time (run/shard's in-order commits serialize here).
   void apply_test(const TestSequence& sequence, FogbusterResult* result);
 
   /// The order-sensitive half of one targeting step, shared verbatim by
-  /// run() and the epoch merge (run/shard) so the two can never drift:
+  /// run() and run/shard's in-order commits so the two can never drift:
   /// counts the target, adopts the generated verdict plus its stage
   /// counters, and on success appends the test and runs the dropping
   /// pass. `i` must still be Untested in `result`; `inert` must be false.

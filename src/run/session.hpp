@@ -43,9 +43,10 @@ class AtpgSession {
   core::FogbusterResult run();
 
   /// Like run(), but when `shard` applies (policy, circuit size, pool
-  /// width — see shard_workers), generation is epoch-sharded across
-  /// `pool`. Byte-identical to run() in every case; the calling thread
-  /// helps with its own epochs, so this is safe from inside pool tasks.
+  /// width — see shard_workers), generation is sharded across `pool`
+  /// through run/shard's sliding window. Byte-identical to run() in every
+  /// case; the calling thread helps with its own window's slices, so this
+  /// is safe from inside pool tasks.
   core::FogbusterResult run(ThreadPool& pool, const ShardConfig& shard);
 
  private:

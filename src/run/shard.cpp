@@ -1,9 +1,10 @@
 #include "run/shard.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
+#include <deque>
 #include <exception>
-#include <vector>
 
 #include "base/error.hpp"
 #include "base/timer.hpp"
@@ -55,14 +56,14 @@ unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
       return 0;
     case ShardConfig::Policy::Forced:
       // A forced width of 1 degenerates to the sequential loop plus the
-      // epoch/barrier machinery — same bytes, pure overhead. Run the
-      // plain loop instead.
+      // window machinery — same bytes, pure overhead. Run the plain loop
+      // instead.
       if (config.workers <= 1) {
         return 0;
       }
       return config.workers;
     case ShardConfig::Policy::Auto:
-      // Small circuits pay more in barriers than they gain; a one-thread
+      // Small circuits pay more in hand-offs than they gain; a one-thread
       // pool gains nothing at all.
       if (fault_count < config.min_faults || pool.thread_count() <= 1) {
         return 0;
@@ -73,16 +74,16 @@ unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
 }
 
 std::size_t shard_epoch_size(const ShardConfig&, unsigned workers) {
-  // A few generation slices per worker amortize the barrier without
-  // over-speculating past the next dropping passes.
+  // A few generation slices per worker keep every worker busy behind a
+  // slow head without over-speculating past the next dropping passes.
   return std::max<std::size_t>(std::size_t{4} * workers, 16);
 }
 
 core::FogbusterResult run_sharded(core::Fogbuster& flow,
                                   std::span<const std::size_t> target_order,
-                                  ThreadPool& pool, std::size_t epoch_size) {
+                                  ThreadPool& pool, std::size_t window_size) {
   using core::FaultStatus;
-  check(epoch_size > 0, "run_sharded: epoch size must be at least 1");
+  check(window_size > 0, "run_sharded: window size must be at least 1");
 
   const Stopwatch watch;
   core::FogbusterResult result = flow.make_empty_result();
@@ -91,48 +92,35 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
         "run_sharded: target order size does not match the fault list");
   flow.reset_run_state();
 
-  /// One epoch entry: a speculatively generated verdict for fault
-  /// `index`, merged (or discarded, when an epoch-mate's test dropped the
-  /// fault first) at the barrier.
+  /// One window entry: a speculatively generated verdict for fault
+  /// `index`, committed (or discarded, when an earlier commit's test
+  /// dropped the fault first) once it is the oldest entry. `done` is the
+  /// slice's last write; its release store publishes the rest.
   struct Slice {
     std::size_t index = 0;
     FaultStatus status = FaultStatus::Untested;
     core::TestSequence sequence;
     core::StageStats stages;
     std::exception_ptr error;
+    std::atomic<bool> done{false};
   };
 
-  std::vector<Slice> epoch;
-  epoch.reserve(epoch_size);
-  std::size_t pos = 0;  // targeting positions < pos are fully classified
-  while (pos < n) {
-    // Between epochs is the natural cancellation point: the barrier has
-    // merged everything generated so far, so unwinding here loses no
-    // completed work. (Mid-epoch, the searches themselves poll the token
-    // and throw; the merge below rethrows the first such slice.)
-    if (pool.cancel_requested()) {
-      throw_cancelled();
-    }
-    // Select the next still-untested faults in targeting order.
-    epoch.clear();
-    while (pos < n && epoch.size() < epoch_size) {
+  // A deque, so entries never move while their tasks write into them.
+  std::deque<Slice> window;
+  ThreadPool::Group group;
+  std::size_t pos = 0;  // next targeting position to submit
+  // Tops the window up with the next still-untested faults in targeting
+  // order. Exceptions are parked per slice — a throwing task would wedge
+  // the group accounting.
+  const auto fill_window = [&] {
+    while (pos < n && window.size() < window_size) {
       const std::size_t i = target_order.empty() ? pos : target_order[pos];
       ++pos;
       if (result.status[i] != FaultStatus::Untested) {
         continue;
       }
-      epoch.emplace_back().index = i;
-    }
-    if (epoch.empty()) {
-      break;
-    }
-
-    // Fan the epoch's generations out; the pool's workers and this thread
-    // (helping inside wait) each run slices against the shared immutable
-    // context. Exceptions are parked per slice — a throwing task would
-    // wedge the group accounting.
-    ThreadPool::Group group;
-    for (Slice& slice : epoch) {
+      Slice& slice = window.emplace_back();
+      slice.index = i;
       pool.submit(group, [&flow, &slice] {
         try {
           slice.status = flow.generate_for_fault(
@@ -141,25 +129,51 @@ core::FogbusterResult run_sharded(core::Fogbuster& flow,
         } catch (...) {
           slice.error = std::current_exception();
         }
+        slice.done.store(true, std::memory_order_release);
       });
     }
-    pool.wait(group);
+  };
 
-    // Barrier merge, in targeting order: exactly the sequential loop,
-    // with the generation verdicts precomputed (merge_targeted is the
-    // code path Fogbuster::run itself steps through). Faults dropped by
-    // an earlier epoch-mate's test are skipped — their speculative work
-    // is the sharding's only waste.
-    for (Slice& slice : epoch) {
-      if (result.status[slice.index] != FaultStatus::Untested) {
-        continue;
+  std::exception_ptr failure;
+  try {
+    fill_window();
+    while (!window.empty()) {
+      // Between commits is the cancellation point: everything generated
+      // for earlier targets is merged, so unwinding here loses no
+      // completed work. (In flight, the searches themselves poll the
+      // token and throw; the commit below rethrows such a slice.)
+      if (pool.cancel_requested()) {
+        throw_cancelled();
       }
-      if (slice.error) {
-        std::rethrow_exception(slice.error);
+      Slice& head = window.front();
+      pool.wait(group,
+                [&head] { return head.done.load(std::memory_order_acquire); });
+      // In-order commit: exactly the sequential loop, with the generation
+      // verdict precomputed (merge_targeted is the code path
+      // Fogbuster::run itself steps through). A fault an earlier commit's
+      // test dropped is skipped — its speculative work is the sharding's
+      // only waste.
+      if (result.status[head.index] == FaultStatus::Untested) {
+        if (head.error) {
+          std::rethrow_exception(head.error);
+        }
+        flow.merge_targeted(head.index, false, head.status, head.sequence,
+                            head.stages, &result);
       }
-      flow.merge_targeted(slice.index, false, slice.status, slice.sequence,
-                          slice.stages, &result);
+      window.pop_front();
+      fill_window();
     }
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  // On every exit path, join the slices still in flight before `window`
+  // and `group` go away: they write into the one and count against the
+  // other (even after a slice's last write, its worker may still be
+  // finishing the group accounting). The tasks park their exceptions, so
+  // this join rethrows nothing.
+  pool.wait(group);
+  if (failure) {
+    std::rethrow_exception(failure);
   }
   result.seconds = watch.seconds();
   return result;

@@ -1,4 +1,5 @@
-// Epoch-based intra-circuit fault sharding (--shard-faults).
+// Intra-circuit fault sharding (--shard-faults) through an in-order
+// sliding window.
 //
 // The paper's flow is inherently sequential: faults are targeted one by
 // one, and after every success the generated sequence is fault-simulated
@@ -6,29 +7,34 @@
 // at all therefore depends on every earlier dropping decision, and the
 // X-fill RNG stream threads through the dropping passes in order.
 //
-// The epoch engine parallelizes the expensive half (test generation)
-// while replaying the order-sensitive half (dropping) sequentially:
+// run_sharded parallelizes the expensive half (test generation) while
+// committing the order-sensitive half (dropping) sequentially, like a
+// reorder buffer:
 //
-//   1. Select the next E still-untested faults in targeting order (an
-//      epoch). Generation for one fault reads only the immutable
-//      CircuitContext + options, so the epoch's faults generate
-//      concurrently on the shared run/ThreadPool (fork-join group; the
-//      orchestrating thread helps).
-//   2. Barrier. Replay the epoch in targeting order: skip faults a
-//      previous epoch-mate's test already dropped, adopt each remaining
-//      fault's precomputed verdict, and push every accepted test through
-//      the batched FAUSIM/TDsim dropping pass — in canonical order, on
-//      one thread, consuming the X-fill stream exactly like the
-//      sequential run.
+//   1. Window. Up to W still-untested faults, taken in targeting order,
+//      are in flight at once. Generation for one fault reads only the
+//      immutable CircuitContext + options, so the window's faults
+//      generate concurrently on the shared run/ThreadPool (one fork-join
+//      group; the committing thread helps with the oldest queued ones).
+//   2. In-order commit. As soon as the oldest fault in the window has
+//      finished, it is committed on the calling thread: skipped when an
+//      earlier commit's test already dropped it, otherwise its
+//      precomputed verdict is adopted and an accepted test runs the
+//      batched FAUSIM/TDsim dropping pass — in canonical order, on one
+//      thread, consuming the X-fill stream exactly like the sequential
+//      run. The next still-untested faults are then submitted behind the
+//      window, so a slow fault holds up the commits behind it but not
+//      the workers, until the window is full.
 //
 // Dropping can only *remove* later targets, never add them, so the
-// sequential run's targets are always a subset of the epochs' — the
-// replay reproduces the sequential run's dropping decisions, pattern
+// sequential run's targets are always a subset of the submitted ones —
+// the commits reproduce the sequential run's dropping decisions, pattern
 // sets, stage counters and CSV row byte-for-byte, for any worker count
-// and any epoch size. The only cost is wasted speculative generation for
-// faults dropped by an epoch-mate (bounded by the epoch size; untestable
-// and aborted verdicts are never wasted — those faults are never
-// dropped). The determinism ctests assert the equality end to end.
+// and any window size. The only cost is wasted speculative generation for
+// faults an earlier commit drops while they are in the window (bounded by
+// the window size; untestable and aborted verdicts are never wasted —
+// those faults are never dropped). The determinism ctests assert the
+// equality end to end.
 #pragma once
 
 #include <cstddef>
@@ -53,7 +59,8 @@ struct ShardConfig {
   /// Generation parallelism for Forced (Auto derives it from the pool).
   unsigned workers = 0;
   /// Auto only shards circuits with at least this many faults — below
-  /// it the per-epoch barrier costs more than the parallelism returns.
+  /// it the window's per-fault hand-offs and wasted speculation cost more
+  /// than the parallelism returns.
   std::size_t min_faults = 1500;
 
   bool operator==(const ShardConfig&) const = default;
@@ -69,16 +76,17 @@ std::string shard_faults_name(const ShardConfig& config);
 unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
                        std::size_t fault_count);
 
-/// Faults generated per epoch: max(4 x workers, 16). The ShardConfig
-/// parameter is ignored.
+/// Faults in flight in the sliding window: max(4 x workers, 16).
+/// perfbench calls it by this name; the ShardConfig parameter is ignored.
 std::size_t shard_epoch_size(
     // kept for perfbench; drop at the next benchmark change
     const ShardConfig&, unsigned workers);
 
-/// One complete ATPG run with epoch-sharded generation, byte-identical
-/// to flow.run(target_order). `epoch_size` must be at least 1.
+/// One complete ATPG run with sharded generation, byte-identical to
+/// flow.run(target_order). At most `window_size` (at least 1) uncommitted
+/// faults are in flight at once.
 core::FogbusterResult run_sharded(core::Fogbuster& flow,
                                   std::span<const std::size_t> target_order,
-                                  ThreadPool& pool, std::size_t epoch_size);
+                                  ThreadPool& pool, std::size_t window_size);
 
 }  // namespace gdf::run

@@ -368,7 +368,7 @@ SweepStats run_sweep(const SweepSpec& spec,
     // --jobs 0 single-circuit run on a many-core host would otherwise
     // create a pile of threads that never pop a task) — unless some cell
     // can fan its faults out, in which case the spare workers pick up
-    // generation epochs and the full width stays. "Can shard" is judged
+    // generation slices and the full width stays. "Can shard" is judged
     // from the unexpanded netlist size with a generous fault-count proxy
     // (8x covers branch expansion): over-admitting parks a few idle
     // threads, under-admitting would forfeit the sharding speedup.

@@ -24,8 +24,8 @@
 //    cost order (the canonical emission channel hides the reordering), so
 //    the s1196/s1238-class tails start first instead of capping the sweep.
 //  * Intra-circuit fault sharding (spec.shard): a cell whose circuit
-//    qualifies fans its fault list into generation epochs on the same
-//    pool instead of occupying one worker (see run/shard.hpp).
+//    qualifies keeps a sliding window of its faults generating on the
+//    same pool instead of occupying one worker (see run/shard.hpp).
 #pragma once
 
 #include <cstdint>

@@ -62,30 +62,36 @@ std::function<void()> ThreadPool::pop_group_task(Group& group) {
 }
 
 void ThreadPool::finish_group_task(Group& group) {
-  bool last = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    last = --group.pending == 0;
+    --group.pending;
   }
   // After the unlock this thread never touches `group` again — a waiter
   // may already be destroying it. The CV is pool-owned precisely so this
-  // notify is on memory that outlives the group.
-  if (last) {
-    group_done_.notify_all();
-  }
+  // notify is on memory that outlives the group. Every completion
+  // notifies, not just the last: a wait(group, done) may be waiting for
+  // exactly this task.
+  group_done_.notify_all();
 }
 
-void ThreadPool::wait(Group& group) {
+void ThreadPool::wait(Group& group, const std::function<bool()>& done) {
   // A helped task that throws must not leave the join early: the group's
   // remaining tasks still point at the caller's Group object, so wait()
-  // first quiesces the group completely (accounting intact), then
-  // rethrows the first exception.
+  // then drops `done`, quiesces the group completely (accounting
+  // intact), and only then rethrows the first exception.
   std::exception_ptr error;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    // `done` runs under the lock: a task's results are written before its
+    // finish_group_task takes the lock to notify, so the completion that
+    // makes `done` true cannot slip in between this check and the park.
+    if (!error && done && done()) {
+      break;
+    }
     if (!group.tasks.empty()) {
-      // Help: run the group's own next task on this thread. Never steals
-      // unrelated work — the waiter's latency is bounded by its group.
+      // Help: run the group's own oldest task on this thread. Never
+      // steals unrelated work — the waiter's latency is bounded by its
+      // group.
       std::function<void()> task = pop_group_task(group);
       lock.unlock();
       try {

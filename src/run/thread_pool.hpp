@@ -5,23 +5,26 @@
 // the scheduler's priority order — see run/sweep's longest-job-first
 // pass) and steals FIFO from the other workers when its deque runs dry,
 // so a skewed submission still keeps every worker busy. Tasks here are
-// entire ATPG runs or epoch-generation slices — micro- to multi-second
-// each — so all queues share one mutex; the queue operations are
-// nanoseconds against that grain and a single lock keeps the pool
+// entire ATPG runs or single-fault generation slices — micro- to
+// multi-second each — so all queues share one mutex; the queue operations
+// are nanoseconds against that grain and a single lock keeps the pool
 // trivially race-free.
 //
 // A Group is a fork-join region inside one task: submit(group, ...) fans
 // work out, wait(group) joins. The waiting thread *helps* — it executes
 // the group's own tasks while it waits — so a worker running a sharded
-// ATPG cell can fan its epochs out on the same pool without ever
-// deadlocking (even a single-threaded pool makes progress: the waiter
-// drains its own group). Idle workers pick group tasks up too, which is
-// what lets one big circuit spread over every core.
+// ATPG cell can fan its generation slices out on the same pool without
+// ever deadlocking (even a single-threaded pool makes progress: the
+// waiter drains its own group). wait(group, done) is the same join cut
+// short once the caller's condition holds, which is how run/shard's
+// sliding window commits each slice as soon as it is the oldest finished
+// one. Idle workers pick group tasks up too, which is what lets one big
+// circuit spread over every core.
 //
 // The pool never touches the results: tasks communicate through whatever
 // channel the caller closes over (see run_sweep, which restores
-// deterministic ordering on the consumer side; wait(group) establishes
-// the happens-before edge for the epoch barrier).
+// deterministic ordering on the consumer side, and run_sharded, whose
+// slices publish their completion with a release store).
 #pragma once
 
 #include <condition_variable>
@@ -40,8 +43,10 @@ class ThreadPool {
  public:
   /// A fork-join region: tasks submitted against a group are counted, and
   /// wait() returns only when every one of them has finished. A Group is
-  /// owned by the caller, must outlive its tasks, and is reusable after a
-  /// completed wait(). Not copyable or movable (workers hold pointers).
+  /// owned by the caller, must outlive its tasks (a wait() without a
+  /// condition is the one join that proves they are over), and is
+  /// reusable after a completed wait(). Not copyable or movable (workers
+  /// hold pointers).
   class Group {
    public:
     Group() = default;
@@ -76,14 +81,18 @@ class ThreadPool {
   /// pool tasks (that is the sharding pattern).
   void submit(Group& group, std::function<void()> task);
 
-  /// Blocks until every task submitted against `group` has finished,
-  /// executing the group's queued tasks on the calling thread while it
-  /// waits. Callable from worker threads and external threads alike. If
-  /// a helped task throws, the group is still fully quiesced (remaining
-  /// tasks run, accounting intact) before the first exception is
-  /// rethrown; group tasks run by pool workers must not throw (like
-  /// plain submits, a worker-side throw terminates).
-  void wait(Group& group);
+  /// Blocks until every task submitted against `group` has finished — or,
+  /// when `done` is given, until `done()` holds, whichever comes first —
+  /// executing the group's queued tasks (oldest first) on the calling
+  /// thread while it waits. `done` is evaluated with the pool's lock held,
+  /// on entry and whenever the waiter wakes or finishes a helped task, so
+  /// it must be cheap and must not call into the pool. Callable from worker
+  /// threads and external threads alike. If a helped task throws, `done`
+  /// is ignored and the group is fully quiesced (remaining tasks run,
+  /// accounting intact) before the first exception is rethrown; group
+  /// tasks run by pool workers must not throw (like plain submits, a
+  /// worker-side throw terminates).
+  void wait(Group& group, const std::function<bool()>& done = {});
 
   unsigned thread_count() const {
     return static_cast<unsigned>(threads_.size());
@@ -91,7 +100,7 @@ class ThreadPool {
 
   /// Wires a cancellation token through the pool: the pool itself keeps
   /// scheduling (tasks must run so channels drain), but cooperative
-  /// consumers — the epoch engine between barriers, the flow's decision
+  /// consumers — the sharded run between commits, the flow's decision
   /// loops — poll it via cancel_token()/cancel_requested() and unwind
   /// early. Set before tasks that should observe it are submitted; pass
   /// nullptr to unwire.
@@ -121,8 +130,9 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable wake_;
-  /// Signalled whenever any group's pending count reaches zero; waiters
-  /// re-check their own group. Pool-owned so it outlives every Group.
+  /// Signalled whenever any group task finishes (and when a group task is
+  /// submitted); waiters re-check their own group and condition.
+  /// Pool-owned so it outlives every Group.
   std::condition_variable group_done_;
   std::vector<std::deque<std::function<void()>>> queues_;
   std::vector<Group*> groups_;  ///< groups with queued tasks, FIFO

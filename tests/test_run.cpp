@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -169,6 +171,96 @@ TEST(ThreadPoolTest, GroupIsReusableAfterWait) {
   }
 }
 
+// wait(group, done) is the same helping join cut short. On a one-thread
+// pool whose only worker is blocked, the waiter runs the oldest queued
+// task itself and returns once the condition holds, with the later tasks
+// still queued; a plain wait() then drains them, and the group stays
+// reusable.
+TEST(ThreadPoolTest, GroupWaitStopsOnceConditionHolds) {
+  ThreadPool pool(1);
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> unblock{false};
+  pool.submit([&] {
+    blocked = true;
+    while (!unblock) {
+      std::this_thread::yield();
+    }
+  });
+  while (!blocked) {
+    std::this_thread::yield();
+  }
+
+  ThreadPool::Group group;
+  std::thread::id oldest_ran_on;
+  std::atomic<bool> oldest_done{false};
+  std::atomic<int> later{0};
+  pool.submit(group, [&] {
+    oldest_ran_on = std::this_thread::get_id();
+    oldest_done.store(true, std::memory_order_release);
+  });
+  for (int i = 0; i < 3; ++i) {
+    pool.submit(group, [&later] { ++later; });
+  }
+  pool.wait(group, [&] {
+    return oldest_done.load(std::memory_order_acquire);
+  });
+  EXPECT_EQ(oldest_ran_on, std::this_thread::get_id());
+  EXPECT_EQ(later.load(), 0);
+
+  unblock = true;
+  pool.wait(group);
+  EXPECT_EQ(later.load(), 3);
+
+  for (int i = 0; i < 4; ++i) {
+    pool.submit(group, [&later] { ++later; });
+  }
+  pool.wait(group);
+  EXPECT_EQ(later.load(), 7);
+}
+
+// Every group completion wakes a parked waiter, not only the last one:
+// here the condition's task finishes while its sibling keeps running
+// until the waiter has returned. A waiter woken only when the group
+// drains would stay parked until the sibling gives up.
+TEST(ThreadPoolTest, GroupWaitWakesOnEachCompletion) {
+  ThreadPool pool(2);
+  ThreadPool::Group group;
+  std::atomic<int> running{0};
+  std::atomic<bool> go{false};
+  std::atomic<bool> first_done{false};
+  std::atomic<bool> returned{false};
+  std::atomic<bool> sibling_gave_up{false};
+  pool.submit(group, [&] {
+    ++running;
+    while (!go) {
+      std::this_thread::yield();
+    }
+    first_done = true;
+  });
+  pool.submit(group, [&] {
+    ++running;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!returned) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        sibling_gave_up = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  while (running < 2) {  // both on the workers, nothing left to help with
+    std::this_thread::yield();
+  }
+  pool.wait(group, [&] {
+    go = true;
+    return first_done.load();
+  });
+  returned = true;
+  pool.wait(group);
+  EXPECT_FALSE(sibling_gave_up);
+}
+
 TEST(ShardConfigTest, ParseRoundTrips) {
   EXPECT_EQ(parse_shard_faults("off").policy, ShardConfig::Policy::Off);
   EXPECT_EQ(parse_shard_faults("auto").policy, ShardConfig::Policy::Auto);
@@ -197,7 +289,7 @@ TEST(ShardConfigTest, AutoGatesOnSizeAndPool) {
 
 TEST(ShardConfigTest, ForcedWidthOneRunsSequential) {
   // --shard-faults 1 degenerates to the sequential loop plus the
-  // epoch/barrier machinery — same bytes, pure overhead — so the gate
+  // window machinery — same bytes, pure overhead — so the gate
   // hands it to the plain loop. Width 2 still shards, even on a
   // one-thread pool (the orchestrating thread helps inside wait()).
   ThreadPool narrow(1);
@@ -211,10 +303,11 @@ TEST(ShardConfigTest, ForcedWidthOneRunsSequential) {
   EXPECT_EQ(shard_workers(shard, narrow, 5000), 2u);
 }
 
-// The tentpole contract: an epoch-sharded run is indistinguishable from
-// the sequential run — same classifications, same pattern sets, same
-// stage counters — for any pool width and any epoch size, including
-// epoch sizes small enough to force many barriers and a pool of one
+// The sharding contract: a sharded run is indistinguishable from the
+// sequential run — same classifications, same pattern sets, same stage
+// counters — for any pool width and any window size, including window 1
+// (the degenerate in-order case), window 2 (the smallest in which the
+// oldest slice can finish after the one behind it) and a pool of one
 // (where helping does all the work).
 TEST(ShardTest, EpochShardingMatchesSequential) {
   const net::Netlist nl = circuits::load_circuit("s298");
@@ -225,17 +318,18 @@ TEST(ShardTest, EpochShardingMatchesSequential) {
       make_fault_order(*ctx, FaultOrder::Static, {});
 
   for (const unsigned pool_width : {1u, 4u}) {
-    for (const std::size_t epoch : {std::size_t{3}, std::size_t{64}}) {
+    for (const std::size_t window :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{64}}) {
       ThreadPool pool(pool_width);
       core::Fogbuster flow(ctx);
       expect_identical_runs(reference,
-                            run_sharded(flow, order, pool, epoch));
+                            run_sharded(flow, order, pool, window));
     }
   }
 }
 
 // Sharding composes with non-static targeting orders (the permutation is
-// what the epochs walk).
+// what the window walks).
 TEST(ShardTest, ShardingComposesWithFaultOrders) {
   const net::Netlist nl = circuits::load_circuit("s344");
   const auto ctx = core::CircuitContext::build(nl);
@@ -250,7 +344,7 @@ TEST(ShardTest, ShardingComposesWithFaultOrders) {
   }
 }
 
-// The acceptance sweep of the issue, in-process: every catalog circuit,
+// The acceptance sweep, in-process: every catalog circuit,
 // sequential versus sharded, full tested/untestable/aborted/pattern-set
 // equality. Reduced backtrack limits keep the runtime in check —
 // test_determinism covers the paper configuration end to end.
@@ -281,6 +375,40 @@ TEST(ShardTest, WholeCatalogEquality) {
     const core::FogbusterResult b = sharded.run(pool, shard);
     expect_identical_runs(a, b);
   }
+}
+
+// Cancelling a sharded run with slices in flight: the token fires from
+// another thread mid-run, run_sharded joins every in-flight slice and
+// unwinds with a Cancelled error, and the same pool then runs a fresh
+// sharded run that equals the sequential one.
+TEST(ShardTest, CancelMidRunLeavesThePoolUsable) {
+  const auto big =
+      core::CircuitContext::build(circuits::load_circuit("s1196"));
+  CancelToken cancel;
+  core::AtpgOptions options;
+  options.cancel = &cancel;
+  ThreadPool pool(4);
+  pool.set_cancel_token(&cancel);
+  core::Fogbuster cancelled(big, options);
+  std::thread firer([&cancel] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    cancel.request();
+  });
+  try {
+    run_sharded(cancelled, {}, pool, shard_epoch_size({}, 4));
+    ADD_FAILURE() << "the sharded s1196 run outlived the cancel token";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
+  }
+  firer.join();
+
+  pool.set_cancel_token(nullptr);
+  const auto small =
+      core::CircuitContext::build(circuits::load_circuit("s298"));
+  AtpgSession sequential(small);
+  core::Fogbuster fresh(small);
+  expect_identical_runs(sequential.run(),
+                        run_sharded(fresh, {}, pool, shard_epoch_size({}, 4)));
 }
 
 TEST(FaultOrderTest, NamesRoundTrip) {
