@@ -1,6 +1,7 @@
 #include "core/fogbuster.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "base/error.hpp"
 #include "base/rng.hpp"
@@ -312,6 +313,34 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
       }
     }
 
+    // Every re-entry of this local test pins its fault-effect PPOs, its
+    // Known PPOs unless the propagation works without them, and its own
+    // boundary requirements. The shared pins go into at most two donors,
+    // seeded from the local search and primed on first use, so a
+    // re-entry seeded from one assigns only its requirements.
+    std::optional<tdgen::TdgenSearch> donors[2];  // [with Known pins]
+    const auto primed_donor = [&](bool with_known) {
+      std::optional<tdgen::TdgenSearch>& donor = donors[with_known ? 1 : 0];
+      if (!donor) {
+        tdgen::TdgenOptions donor_options = local_options;
+        donor_options.init_donor = &local_search;
+        donor.emplace(ctx_->model(), *algebra_, fault, donor_options);
+        for (std::size_t k = 0; k < n_ff; ++k) {
+          if (boundary[k] == Lv::D || boundary[k] == Lv::Dbar) {
+            donor->pin_ppo(k, alg::vset_of(boundary[k] == Lv::D
+                                               ? alg::V8::RiseC
+                                               : alg::V8::FallC));
+          } else if (with_known && boundary[k] != Lv::X) {
+            donor->pin_ppo(k, alg::vset_of(boundary[k] == Lv::One
+                                               ? alg::V8::One
+                                               : alg::V8::Zero));
+          }
+        }
+        donor->prime();  // a root conflict passes to every re-entry
+      }
+      return &*donor;
+    };
+
     semilet::Propagator propagator(ctx_->flat(), budget);
     propagator.start(boundary, assignable);
     semilet::PropagationOutcome outcome;
@@ -344,39 +373,16 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
         if (!known_needed) {
           relied.clear();
         }
-        // Re-entries share the first search's sorted cone and post-init
-        // engine snapshot and report into the same tally. The base
-        // search's clauses would stay valid under the pins (they only
-        // narrow the level-0 state), but importing them measures as a net
-        // cost — re-entry trees are short and rarely revisit the base
-        // search's conflicts — so re-entries learn from scratch.
+        // Seeded from the donor holding the pins this candidate shares;
+        // reports into the same tally. The base search's clauses would
+        // stay valid under the pins (they only narrow the level-0 state),
+        // but importing them measures as a net cost — re-entry trees are
+        // short and rarely revisit the base search's conflicts — so
+        // re-entries learn from scratch.
         tdgen::TdgenOptions reentry_options = local_options;
-        reentry_options.shared_cone = &local_search.sorted_cone();
-        reentry_options.init_donor = &local_search.engine();
+        reentry_options.init_donor = primed_donor(known_needed);
         tdgen::TdgenSearch reentry(ctx_->model(), *algebra_, fault,
                                    reentry_options);
-        for (std::size_t k = 0; k < n_ff; ++k) {
-          switch (tdgen::classify_ppo(local.ppo_sets[k])) {
-            case PpoKind::Known0:
-              if (known_needed) {
-                reentry.pin_ppo(k, alg::vset_of(alg::V8::Zero));
-              }
-              break;
-            case PpoKind::Known1:
-              if (known_needed) {
-                reentry.pin_ppo(k, alg::vset_of(alg::V8::One));
-              }
-              break;
-            case PpoKind::FaultD:
-              reentry.pin_ppo(k, alg::vset_of(alg::V8::RiseC));
-              break;
-            case PpoKind::FaultDbar:
-              reentry.pin_ppo(k, alg::vset_of(alg::V8::FallC));
-              break;
-            case PpoKind::Unknown:
-              break;
-          }
-        }
         for (const auto& [ff, v] : outcome.boundary_requirements) {
           reentry.pin_ppo(ff, alg::vset_of(v == Lv::One ? alg::V8::One
                                                         : alg::V8::Zero));

@@ -95,14 +95,19 @@ void ImplicationEngine::init(const alg::FaultSpec& fault) {
     add_pending(id, kAll);
   }
   propagate();
-  init_sets_ = sets_;
-  init_conflict_ = conflict_;
-  init_ready_ = true;
+  save_root();
+}
+
+void ImplicationEngine::save_root() {
+  GDF_ASSERT(level_marks_.empty(), "save_root inside a decision level");
+  root_sets_ = sets_;
+  root_conflict_ = conflict_;
+  root_ready_ = true;
 }
 
 bool ImplicationEngine::init_from(const ImplicationEngine& donor,
                                   const alg::FaultSpec& fault) {
-  if (!donor.init_ready_ || donor.model_ != model_ ||
+  if (!donor.root_ready_ || donor.model_ != model_ ||
       donor.algebra_ != algebra_ || donor.fault_.site != fault.site ||
       donor.fault_.slow_to_rise != fault.slow_to_rise) {
     return false;
@@ -111,8 +116,8 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
   trail_.clear();
   level_marks_.clear();
   clear_queue();
-  sets_ = donor.init_sets_;
-  conflict_ = donor.init_conflict_;
+  sets_ = donor.root_sets_;
+  conflict_ = donor.root_conflict_;
   conflict_node_ = kNoNode;
   conflict_clause_ = base::ClauseArena::kNone;
   arena_ = {};
@@ -124,9 +129,9 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
   site_chain_ = donor.site_chain_;
-  init_sets_ = donor.init_sets_;
-  init_conflict_ = donor.init_conflict_;
-  init_ready_ = true;
+  root_sets_ = donor.root_sets_;
+  root_conflict_ = donor.root_conflict_;
+  root_ready_ = true;
   return true;
 }
 

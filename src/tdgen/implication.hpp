@@ -70,18 +70,24 @@ class ImplicationEngine {
 
   /// Resets all sets for a fresh fault: primary domains at PI/PPI, carriers
   /// allowed only inside the fault cone, the site transform armed at the
-  /// fault site. Clears the trail and the decision levels. Keeps a
-  /// snapshot of the settled post-init state so sibling engines over the
-  /// same fault can seed from it (init_from) instead of re-running the
-  /// whole-circuit fixpoint.
+  /// fault site. Clears the trail and the decision levels. The settled
+  /// state becomes the root snapshot (see save_root).
   void init(const alg::FaultSpec& fault);
 
-  /// Seeds this engine with `donor`'s post-init snapshot — valid when the
-  /// donor ran init() (not init_from) over the same model and exactly
-  /// `fault`. Returns false (leaving this engine untouched) when the donor
-  /// cannot vouch for that, in which case the caller falls back to init().
-  /// The result is bit-identical to init(fault): the snapshot is a pure
-  /// function of (model, algebra, fault).
+  /// Retakes the root snapshot (sets + conflict flag) at the current
+  /// state, which must lie below every decision level. Sibling engines
+  /// over the same fault seed from it (init_from) instead of re-running
+  /// the whole-circuit fixpoint and every root assign() made since init().
+  void save_root();
+
+  /// Seeds this engine with `donor`'s root snapshot — valid when the donor
+  /// was set up, by init() or by an earlier init_from(), over the same
+  /// model and exactly `fault`. Returns false (leaving this engine
+  /// untouched) when the donor cannot vouch for that. The result equals
+  /// init(fault) followed by every assign() the donor's snapshot holds,
+  /// node for node and conflict flag included, with an empty trail, no
+  /// clauses and zero activities; the snapshot also becomes this engine's
+  /// own root, so it can serve as a donor in turn.
   bool init_from(const ImplicationEngine& donor,
                  const alg::FaultSpec& fault);
 
@@ -215,10 +221,10 @@ class ImplicationEngine {
   const std::uint8_t* fo_bits_;
   alg::FaultSpec fault_;
   std::vector<alg::VSet> sets_;
-  /// Post-init() snapshot (sets + conflict flag) for init_from donors.
-  std::vector<alg::VSet> init_sets_;
-  bool init_conflict_ = false;
-  bool init_ready_ = false;
+  /// Root snapshot (sets + conflict flag) for init_from donors.
+  std::vector<alg::VSet> root_sets_;
+  bool root_conflict_ = false;
+  bool root_ready_ = false;
   std::vector<TrailEntry> trail_;
   std::vector<std::size_t> level_marks_;
   /// FIFO as a vector plus head cursor (cheaper than std::deque at the

@@ -27,9 +27,14 @@ TdgenSearch::TdgenSearch(const alg::AtpgModel& model,
   if (options_.learn && options_.vsids) {
     saved_phase_.assign(model.node_count(), kEmptySet);
   }
-  if (options_.shared_cone != nullptr) {
-    // A re-entry over the same fault line reuses the first search's cone.
-    cone_ = options_.shared_cone;
+  if (options_.init_donor != nullptr) {
+    const TdgenSearch& donor = *options_.init_donor;
+    GDF_ASSERT(
+        donor.primed_ && donor.model_ == &model && donor.fault_ == fault,
+        "init_donor must be a primed search over the same fault");
+    cone_ = donor.cone_;
+    pins_ = donor.pins_;
+    inherited_pins_ = pins_.size();
   } else {
     cone_storage_ = model.carrier_cone(spec_.site);
     // Deterministic frontier scans in observation-distance order.
@@ -60,31 +65,43 @@ TdgenSearch::~TdgenSearch() {
 }
 
 void TdgenSearch::pin_ppo(std::size_t dff_index, VSet allowed) {
-  GDF_ASSERT(!started_, "pin_ppo after the search started");
+  GDF_ASSERT(!primed_, "pin_ppo after the search was primed");
   pins_.push_back({dff_index, allowed});
 }
 
-bool TdgenSearch::start() {
-  if (options_.init_donor == nullptr ||
-      !engine_.init_from(*options_.init_donor, spec_)) {
+bool TdgenSearch::prime() {
+  if (primed_) {
+    return root_ok_;
+  }
+  primed_ = true;
+  const TdgenSearch* donor = options_.init_donor;
+  if (donor != nullptr) {
+    // The donor's root already holds the activation and the inherited
+    // pins; charge their pushes as if this search had made them.
+    const bool seeded = engine_.init_from(donor->engine_, spec_);
+    GDF_ASSERT(seeded, "init_donor's engine refused to seed this search");
+    root_pushes_ = donor->root_pushes_;
+    budget_charged_ = -root_pushes_;
+  } else {
     engine_.init(spec_);
   }
-  if (engine_.conflict()) {
-    return false;
+  const long pushes_before = engine_.counters().trail_pushes;
+  bool ok = !engine_.conflict();
+  if (ok && donor == nullptr) {
+    // Activation: the site must expose the carrier of the targeted
+    // transition.
+    ok = engine_.assign(spec_.site, alg::vset_of(fault_.slow_to_rise
+                                                     ? V8::RiseC
+                                                     : V8::FallC));
   }
-  // Activation: the site must expose the carrier of the targeted
-  // transition.
-  const VSet carrier = alg::vset_of(
-      fault_.slow_to_rise ? V8::RiseC : V8::FallC);
-  if (!engine_.assign(spec_.site, carrier)) {
-    return false;
+  for (std::size_t i = inherited_pins_; ok && i < pins_.size(); ++i) {
+    ok = engine_.assign(model_->ppo_node(pins_[i].dff_index),
+                        pins_[i].allowed);
   }
-  for (const PpoPin& pin : pins_) {
-    if (!engine_.assign(model_->ppo_node(pin.dff_index), pin.allowed)) {
-      return false;
-    }
-  }
-  return true;
+  root_pushes_ += engine_.counters().trail_pushes - pushes_before;
+  engine_.save_root();
+  root_ok_ = ok;
+  return ok;
 }
 
 bool TdgenSearch::carrier_possible_at_observation() const {
@@ -583,16 +600,14 @@ TdgenStatus TdgenSearch::next(LocalTest* out) {
   if (aborted_) {
     return TdgenStatus::Aborted;
   }
-  if (!started_) {
-    started_ = true;
-    if (!start()) {
+  if (!searching_) {
+    searching_ = true;
+    if (!prime()) {
       return TdgenStatus::Untestable;
     }
-  } else {
-    // Resume past the previous solution leaf.
-    if (!backtrack()) {
-      return exhausted_status();
-    }
+  } else if (!backtrack()) {
+    // Resuming past the previous solution leaf found nothing left.
+    return exhausted_status();
   }
   for (;;) {
     if (options_.cancel != nullptr && options_.cancel->requested()) {

@@ -36,6 +36,14 @@ namespace gdf::tdgen {
 /// like the sequential backtrack budget it is never reset, so the abort
 /// point is a pure function of (context, fault, options) and the verdict
 /// bytes stay identical across --jobs and --shard-faults.
+///
+/// A search charges from its decision loop, so one whose root
+/// assignments (activation and pins) conflict returns Untestable before
+/// its first charge and costs nothing. A seeded search (see
+/// TdgenOptions::init_donor) is also charged for the root work it
+/// inherits: the trail pushes its donors spent on the activation and the
+/// inherited pins. A re-entry thus costs what it would if it had made
+/// every root assignment itself.
 class WorkBudget {
  public:
   /// `limit` assignments may be spent; the first charge pushing the total
@@ -82,6 +90,8 @@ struct SearchCounters {
   }
 };
 
+class TdgenSearch;
+
 struct TdgenOptions {
   int backtrack_limit = 100;  ///< paper §6
   /// Conflict-driven mode: learn blocking implicates from every engine
@@ -108,16 +118,15 @@ struct TdgenOptions {
   /// Cooperative cancellation: polled once per decision-loop iteration;
   /// a fired token unwinds via throw_cancelled() (Error, kind Cancelled).
   const CancelToken* cancel = nullptr;
-  /// Optional pre-sorted observation-distance cone for the fault site
-  /// (TdgenSearch::sorted_cone() of an earlier search over the same model
-  /// and fault line). Re-entries reuse the first search's cone instead of
-  /// re-deriving and re-sorting it.
-  const std::vector<alg::NodeId>* shared_cone = nullptr;
-  /// Optional donor engine whose post-init snapshot seeds this search's
-  /// engine (see ImplicationEngine::init_from) — a started search over the
-  /// same model and fault. Re-entries skip the whole-circuit init fixpoint
-  /// this way; an incompatible donor silently falls back to init().
-  const ImplicationEngine* init_donor = nullptr;
+  /// Optional donor: a primed search (TdgenSearch::prime) over the same
+  /// model, algebra and fault. This search then starts from the donor's
+  /// root snapshot, which already holds the init fixpoint, the activation
+  /// and the donor's pins, and assigns only its own pins on top. It
+  /// inherits the donor's pins (check_stimulus still verifies them) and
+  /// its sorted cone, so the donor must outlive it. Donors chain: a
+  /// seeded search, once primed, can seed another. Re-entries are seeded
+  /// this way; only the local search starts from init().
+  const TdgenSearch* init_donor = nullptr;
 };
 
 enum class TdgenStatus {
@@ -137,17 +146,20 @@ class TdgenSearch {
   TdgenSearch(const TdgenSearch&) = delete;
   TdgenSearch& operator=(const TdgenSearch&) = delete;
 
-  /// The fault site's carrier cone sorted nearest-observation-first — pass
-  /// as TdgenOptions::shared_cone to a re-entry over the same fault line.
-  const std::vector<alg::NodeId>& sorted_cone() const { return *cone_; }
-
-  /// This search's engine — pass as TdgenOptions::init_donor to a re-entry
-  /// over the same fault so it can seed from the post-init snapshot.
+  /// This search's implication engine (its clauses and counters).
   const ImplicationEngine& engine() const { return engine_; }
 
   /// Constrains a PPO line to `allowed` (e.g. steady clean {1} during
-  /// propagation justification re-entry). Call before the first next().
+  /// propagation justification re-entry). Call before prime().
   void pin_ppo(std::size_t dff_index, alg::VSet allowed);
+
+  /// Applies the root assignments without searching: the activation
+  /// (unless inherited from a donor) and this search's own pins, then
+  /// retakes the engine's root snapshot so the search can serve as a
+  /// donor. Returns false when they conflict; the snapshot then carries
+  /// the conflict, and so does every search seeded from it. Idempotent;
+  /// the first next() primes.
+  bool prime();
 
   /// Produces the next distinct verified local test.
   TdgenStatus next(LocalTest* out);
@@ -173,7 +185,6 @@ class TdgenSearch {
     std::vector<alg::NodeId> observed;
   };
 
-  bool start();
   /// Chronological backtrack, or — when `involved` names the decision
   /// levels a just-analyzed conflict rests on — conflict-directed
   /// backjumping: levels not in the failure's cause are discarded untried
@@ -202,11 +213,19 @@ class TdgenSearch {
   ImplicationEngine engine_;
   alg::TwoFrameSim sim_;
   std::vector<alg::NodeId> cone_storage_;
+  /// The sorted cone: cone_storage_, or the donor's cone.
   const std::vector<alg::NodeId>* cone_;
+  /// The donor's pins first (already in the root snapshot), then this
+  /// search's own (assigned by prime()); check_stimulus verifies all.
   std::vector<PpoPin> pins_;
+  std::size_t inherited_pins_ = 0;
+  /// Trail pushes that led from the init fixpoint to the root snapshot,
+  /// the donors' included — what a search seeded from this one inherits.
+  long root_pushes_ = 0;
   /// Engine trail pushes already charged to options_.work_budget — the
   /// decision loop charges deltas so shared budgets accumulate exactly
-  /// one search's work once, however often next() resumes.
+  /// one search's work once, however often next() resumes. A seeded
+  /// search starts at minus its inherited root pushes (see WorkBudget).
   long budget_charged_ = 0;
   std::vector<Decision> stack_;
   std::set<std::string> published_;
@@ -254,7 +273,9 @@ class TdgenSearch {
   std::vector<alg::VSet> saved_phase_;
   long learned_ = 0;
   long backjump_levels_skipped_ = 0;
-  bool started_ = false;
+  bool primed_ = false;
+  bool root_ok_ = false;
+  bool searching_ = false;
   bool aborted_ = false;
   int backtracks_ = 0;
 };

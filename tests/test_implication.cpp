@@ -260,19 +260,80 @@ TEST(WatchedFanin, MatchesFullFixpointUnderRandomScript) {
 }
 
 TEST_F(C17Engine, InitFromDonorMatchesFreshInit) {
-  ASSERT_TRUE(engine_.assign(fault_.site, alg::vset_of(V8::RiseC)));
-  // Seed a sibling from the (now mid-search) donor's init snapshot.
-  ImplicationEngine seeded(model_, robust_algebra());
-  ASSERT_TRUE(seeded.init_from(engine_, fault_));
+  const auto expect_same = [&](const ImplicationEngine& a,
+                               const ImplicationEngine& b, const char* what) {
+    ASSERT_EQ(a.conflict(), b.conflict()) << what;
+    for (NodeId id = 0; id < model_.node_count(); ++id) {
+      EXPECT_EQ(a.get(id), b.get(id)) << what << " node " << id;
+    }
+  };
+  const NodeId site = fault_.site;
+  const NodeId n3 = model_.head_of(nl_.find("N3"));
+
+  // The snapshot init() takes: a sibling seeded from the (now mid-search)
+  // donor equals a fresh init.
+  engine_.push_level();
+  ASSERT_TRUE(engine_.assign(site, alg::vset_of(V8::RiseC)));
   ImplicationEngine fresh(model_, robust_algebra());
   fresh.init(fault_);
-  for (NodeId id = 0; id < model_.node_count(); ++id) {
-    EXPECT_EQ(seeded.get(id), fresh.get(id)) << "node " << id;
+  {
+    ImplicationEngine seeded(model_, robust_algebra());
+    ASSERT_TRUE(seeded.init_from(engine_, fault_));
+    expect_same(seeded, fresh, "init snapshot");
   }
-  // A donor over a different fault refuses.
+
+  // A root snapshot retaken after root assigns: the seeded engine equals
+  // a fresh init plus the same assigns, node by node, and is at its root.
+  engine_.pop_level();
+  ASSERT_TRUE(engine_.assign(site, alg::vset_of(V8::RiseC)));
+  ASSERT_TRUE(engine_.assign(n3, alg::vset_of(V8::One)));
+  engine_.save_root();
+  engine_.push_level();
+  ASSERT_TRUE(engine_.assign(model_.pis()[0], alg::vset_of(V8::Zero)));
+  ASSERT_TRUE(fresh.assign(site, alg::vset_of(V8::RiseC)));
+  ASSERT_TRUE(fresh.assign(n3, alg::vset_of(V8::One)));
+  ImplicationEngine seeded(model_, robust_algebra());
+  ASSERT_TRUE(seeded.init_from(engine_, fault_));
+  expect_same(seeded, fresh, "root snapshot");
+  EXPECT_EQ(seeded.depth(), 0u);
+
+  // The seeded engine serves as a donor in turn: at once (its root is
+  // the donor's), and after root assigns of its own and save_root().
+  {
+    ImplicationEngine second(model_, robust_algebra());
+    ASSERT_TRUE(second.init_from(seeded, fault_));
+    expect_same(second, fresh, "seeded engine as donor");
+  }
+  ASSERT_TRUE(seeded.assign(model_.pis()[1], alg::vset_of(V8::Rise)));
+  seeded.save_root();
+  ASSERT_TRUE(fresh.assign(model_.pis()[1], alg::vset_of(V8::Rise)));
+  {
+    ImplicationEngine second(model_, robust_algebra());
+    ASSERT_TRUE(second.init_from(seeded, fault_));
+    expect_same(second, fresh, "chained root snapshot");
+  }
+
+  // A root whose assigns conflict hands the conflict flag on: N11 =
+  // NAND(N3, N6) must rise, which a steady-0 N3 rules out.
+  ImplicationEngine conflicted(model_, robust_algebra());
+  conflicted.init(fault_);
+  ASSERT_TRUE(conflicted.assign(site, alg::vset_of(V8::RiseC)));
+  ASSERT_FALSE(conflicted.assign(n3, alg::vset_of(V8::Zero)));
+  conflicted.save_root();
+  {
+    ImplicationEngine heir(model_, robust_algebra());
+    ASSERT_TRUE(heir.init_from(conflicted, fault_));
+    EXPECT_TRUE(heir.conflict());
+    EXPECT_FALSE(heir.assign(model_.pis()[0], alg::vset_of(V8::Zero)));
+  }
+
+  // A donor over a different fault, or one never initialized, refuses
+  // and leaves the engine untouched.
   const alg::FaultSpec other{fault_.site, !fault_.slow_to_rise};
-  ImplicationEngine refused(model_, robust_algebra());
-  EXPECT_FALSE(refused.init_from(engine_, other));
+  EXPECT_FALSE(seeded.init_from(engine_, other));
+  const ImplicationEngine blank(model_, robust_algebra());
+  EXPECT_FALSE(seeded.init_from(blank, fault_));
+  expect_same(seeded, fresh, "after refusals");
 }
 
 TEST_F(C17Engine, CarrierPathBlockedIsSoundAtFixpoint) {

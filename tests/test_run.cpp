@@ -329,9 +329,10 @@ TEST(ShardTest, EpochShardingMatchesSequential) {
 }
 
 // Sharding composes with non-static targeting orders (the permutation is
-// what the window walks).
+// what the window walks). s298 keeps this cheap under TSan; s344's sharded
+// rows stay pinned by the determinism harness and WholeCatalogEquality.
 TEST(ShardTest, ShardingComposesWithFaultOrders) {
-  const net::Netlist nl = circuits::load_circuit("s344");
+  const net::Netlist nl = circuits::load_circuit("s298");
   const auto ctx = core::CircuitContext::build(nl);
   ThreadPool pool(3);
   for (const FaultOrder order :

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algebra/frame_sim.hpp"
 #include "circuits/catalog.hpp"
@@ -401,6 +403,170 @@ TEST(ConflictDrivenSearch, LearnedLimitCapsTheClauseDatabase) {
     reached_cap = reached_cap || learned == 8;
   }
   EXPECT_TRUE(reached_cap);
+}
+
+using PinList = std::vector<std::pair<std::size_t, VSet>>;
+
+constexpr long kRunBudget = 1'000'000'000;
+
+/// What a caller sees of one seeded search: up to two enumerated tests,
+/// the backtrack count after each next(), what it left of a shared
+/// --fault-budget, and its counters.
+struct SeededRun {
+  std::vector<TdgenStatus> status;
+  std::vector<LocalTest> tests;
+  std::vector<int> backtracks;
+  long budget_left = 0;
+  SearchCounters tally;
+};
+
+SeededRun run_seeded(const AtpgModel& model, const DelayFault& f,
+                     const TdgenSearch& donor, const PinList& pins) {
+  SeededRun run;
+  WorkBudget budget(kRunBudget);
+  {
+    TdgenOptions options;
+    options.init_donor = &donor;
+    options.work_budget = &budget;
+    options.tally = &run.tally;
+    TdgenSearch search(model, robust_algebra(), f, options);
+    for (const auto& [k, allowed] : pins) {
+      search.pin_ppo(k, allowed);
+    }
+    for (int round = 0; round < 2; ++round) {
+      LocalTest t;
+      run.status.push_back(search.next(&t));
+      run.backtracks.push_back(search.backtracks());
+      if (run.status.back() != TdgenStatus::TestFound) {
+        break;
+      }
+      run.tests.push_back(std::move(t));
+    }
+  }
+  run.budget_left = budget.remaining();
+  return run;
+}
+
+TEST(SeededSearch, PrimedDonorMatchesUnsharedPins) {
+  // The flow's re-entry chain, local search → primed donor → re-entry:
+  // the donor holds a PPO-observed local test's fault-effect pins (and
+  // its Known pins), the re-entry assigns only its requirement pins. It
+  // must behave exactly like a search seeded straight from the local
+  // search with every pin its own — same verdicts, tests, backtracks and
+  // --fault-budget charge. Only the root work it inherits is not redone.
+  int local_tests = 0;
+  int root_conflicts = 0;
+  int found = 0;
+  for (const auto& [name, stride] : {std::pair{"s27", 1}, {"s298", 8}}) {
+    const net::Netlist nl =
+        net::expand_fanout_branches(circuits::load_circuit(name));
+    const AtpgModel model(nl);
+    const std::vector<DelayFault> faults = enumerate_faults(nl);
+    for (std::size_t i = 0; i < faults.size(); i += stride) {
+      const DelayFault& f = faults[i];
+      TdgenSearch local(model, robust_algebra(), f);
+      LocalTest lt;
+      if (local.next(&lt) != TdgenStatus::TestFound || lt.observed_at_po) {
+        continue;
+      }
+      ++local_tests;
+      PinList effect;  // the fault-effect pins
+      PinList known;   // the Known pins
+      std::vector<std::size_t> unknown;
+      for (std::size_t k = 0; k < lt.ppo_sets.size(); ++k) {
+        switch (classify_ppo(lt.ppo_sets[k])) {
+          case PpoKind::Known0:
+            known.emplace_back(k, alg::vset_of(V8::Zero));
+            break;
+          case PpoKind::Known1:
+            known.emplace_back(k, alg::vset_of(V8::One));
+            break;
+          case PpoKind::FaultD:
+            effect.emplace_back(k, alg::vset_of(V8::RiseC));
+            break;
+          case PpoKind::FaultDbar:
+            effect.emplace_back(k, alg::vset_of(V8::FallC));
+            break;
+          case PpoKind::Unknown:
+            unknown.push_back(k);
+            break;
+        }
+      }
+      for (const bool with_known : {true, false}) {
+        PinList shared = effect;
+        if (with_known) {
+          shared.insert(shared.end(), known.begin(), known.end());
+        }
+        // Requirement sets: the first two Unknown PPOs at 0 and at 1, both
+        // at once, and the complement of a shared pin, which conflicts at
+        // the root.
+        std::vector<PinList> requirements;
+        for (std::size_t u = 0; u < unknown.size() && u < 2; ++u) {
+          requirements.push_back({{unknown[u], alg::vset_of(V8::Zero)}});
+          requirements.push_back({{unknown[u], alg::vset_of(V8::One)}});
+        }
+        if (unknown.size() >= 2) {
+          requirements.push_back({{unknown[0], alg::vset_of(V8::One)},
+                                  {unknown[1], alg::vset_of(V8::Zero)}});
+        }
+        if (!shared.empty()) {
+          const auto& [k, allowed] = shared.front();
+          requirements.push_back(
+              {{k, alg::vset_of(allowed == alg::vset_of(V8::Zero)
+                                    ? V8::One
+                                    : V8::Zero)}});
+        }
+
+        TdgenOptions donor_options;
+        donor_options.init_donor = &local;
+        TdgenSearch donor(model, robust_algebra(), f, donor_options);
+        for (const auto& [k, allowed] : shared) {
+          donor.pin_ppo(k, allowed);
+        }
+        ASSERT_TRUE(donor.prime()) << name << " " << fault_name(nl, f);
+        for (const PinList& req : requirements) {
+          PinList all = shared;
+          all.insert(all.end(), req.begin(), req.end());
+          const SeededRun seeded = run_seeded(model, f, donor, req);
+          const SeededRun unshared = run_seeded(model, f, local, all);
+          const std::string what = std::string(name) + " " +
+                                   fault_name(nl, f) +
+                                   (with_known ? " with Known" : "");
+          ASSERT_EQ(seeded.status, unshared.status) << what;
+          EXPECT_EQ(seeded.backtracks, unshared.backtracks) << what;
+          EXPECT_EQ(seeded.budget_left, unshared.budget_left) << what;
+          for (std::size_t t = 0; t < seeded.tests.size(); ++t) {
+            const LocalTest& a = seeded.tests[t];
+            const LocalTest& b = unshared.tests[t];
+            EXPECT_EQ(a.pi_sets, b.pi_sets) << what;
+            EXPECT_EQ(a.ppi_sets, b.ppi_sets) << what;
+            EXPECT_EQ(a.ppo_sets, b.ppo_sets) << what;
+            EXPECT_EQ(a.observed, b.observed) << what;
+            EXPECT_EQ(a.observed_at_po, b.observed_at_po) << what;
+            EXPECT_EQ(a.observed_ppos, b.observed_ppos) << what;
+          }
+          // Search work is identical; the seeded search skips the shared
+          // pins' root pushes.
+          EXPECT_EQ(seeded.tally.trail_pops, unshared.tally.trail_pops)
+              << what;
+          EXPECT_EQ(seeded.tally.conflicts, unshared.tally.conflicts)
+              << what;
+          EXPECT_LE(seeded.tally.trail_pushes, unshared.tally.trail_pushes)
+              << what;
+          if (seeded.backtracks.front() == 0 &&
+              seeded.status.front() == TdgenStatus::Untestable) {
+            ++root_conflicts;
+            EXPECT_EQ(seeded.budget_left, kRunBudget) << what;
+          }
+          found += seeded.status.front() == TdgenStatus::TestFound ? 1 : 0;
+        }
+      }
+    }
+  }
+  // Both outcomes of a re-entry must occur, or nothing was compared.
+  EXPECT_GT(local_tests, 10);
+  EXPECT_GT(root_conflicts, 0);
+  EXPECT_GT(found, 0);
 }
 
 TEST(TdgenNonRobust, RelaxedModeFindsAtLeastAsMany) {
