@@ -107,8 +107,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       } else {
         throw Error("--learn expects 'on' or 'off', got '" + mode + "'");
       }
-    } else if (arg == "--learned-limit") {
-      config.atpg.learned_limit = parse_int(arg, value_of(i, arg));
     } else if (arg == "--fault-budget") {
       const int budget = parse_int(arg, value_of(i, arg));
       check(budget > 0, "--fault-budget expects a positive assignment count");
@@ -260,17 +258,11 @@ std::string usage() {
       "                          fault aborts once the search spends N\n"
       "                          [off]; bytes stay identical across --jobs\n"
       "                          and --shard-faults\n"
-      "      --learn MODE        conflict-driven learning in the two-frame\n"
-      "                          search: 'on' (per-fault clause learning +\n"
-      "                          non-chronological backjumping + probe\n"
-      "                          memo, deterministic at any worker count,\n"
-      "                          default) or 'off' (chronological search,\n"
-      "                          pre-learning bytes)\n"
-      "      --learned-limit N   cap on the clauses one search stores\n"
-      "                          [512]; past it, conflicts still backjump\n"
-      "                          but their clauses are dropped. Every\n"
-      "                          learned clause costs a local backtrack,\n"
-      "                          so --local-backtracks bounds the count too\n"
+      "      --learn MODE        conflict-driven two-frame search: 'on'\n"
+      "                          (conflict analysis drives backjumps and\n"
+      "                          the activity decision order, plus a probe\n"
+      "                          memo; default) or 'off' (chronological\n"
+      "                          search, static decision order)\n"
       "      --seed N            RNG seed for X-fill         [1995]\n"
       "      --no-fault-dropping disable dropping via fault simulation\n"
       "      --no-branch-faults  gate outputs only, no fanout branches\n"

@@ -242,7 +242,6 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
   tdgen::TdgenOptions local_options = options_.local;
   local_options.tally = &tally_scope.tally;
   local_options.learn = options_.learn != LearnMode::Off;
-  local_options.learned_limit = options_.learned_limit;
   local_options.work_budget =
       options_.fault_budget > 0 ? &work_budget : nullptr;
   local_options.cancel = options_.cancel;
@@ -374,11 +373,9 @@ FaultStatus Fogbuster::generate_for_fault(const DelayFault& fault,
           relied.clear();
         }
         // Seeded from the donor holding the pins this candidate shares;
-        // reports into the same tally. The base search's clauses would
-        // stay valid under the pins (they only narrow the level-0 state),
-        // but importing them measures as a net cost — re-entry trees are
-        // short and rarely revisit the base search's conflicts — so
-        // re-entries learn from scratch.
+        // reports into the same tally. Only the donor's root state
+        // carries over: activities start at zero, so the re-entry's
+        // decision order follows its own conflicts alone.
         tdgen::TdgenOptions reentry_options = local_options;
         reentry_options.init_donor = primed_donor(known_needed);
         tdgen::TdgenSearch reentry(ctx_->model(), *algebra_, fault,

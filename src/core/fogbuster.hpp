@@ -70,9 +70,9 @@ struct StageStats {
   long aborted_budget = 0;     ///< per-fault work budget exhausted
 
   // Search-core counters: the incremental engine's work, so speedups on
-  // the TDgen hot path stay attributable (--stages prints them and
-  // bench/run_benchmarks.sh records them). One shared struct with the
-  // searches, so new counters flow through every merge site unchanged.
+  // the TDgen hot path stay attributable (--stages prints them). One
+  // shared struct with the searches, so new counters flow through every
+  // merge site unchanged.
   tdgen::SearchCounters search;
 
   // Fault-simulation kernel counters (scalar phase 1 and the 64-lane

@@ -12,9 +12,11 @@
 
 namespace gdf::core {
 
-/// Conflict-driven learning in the two-frame search (--learn). On (the
-/// default) keeps every learned clause private to its fault, so each
-/// per-fault search stays a pure function of (context, fault, options).
+/// The two-frame search's conflict-driven mode (--learn). On (the
+/// default) backjumps on the decision levels each conflict's analysis
+/// names and orders decisions by the activities it bumps; nothing is
+/// carried from one search to the next, so each per-fault search stays a
+/// pure function of (context, fault, options).
 enum class LearnMode : std::uint8_t { Off, On };
 
 struct AtpgOptions {
@@ -43,14 +45,13 @@ struct AtpgOptions {
   // kept for perfbench; drop at the next benchmark change
   sim::LaneSpec lanes;
 
-  /// Conflict-driven learning mode for the two-frame search. Off
-  /// reproduces the pre-learning search byte-for-byte (chronological
-  /// backtracking, no clause database, no probe memo); On is documented
-  /// on LearnMode.
+  /// Conflict-driven mode for the two-frame search. Off reproduces the
+  /// chronological search byte-for-byte (no conflict analysis, static
+  /// decision order, no probe memo); On is documented on LearnMode.
   LearnMode learn = LearnMode::On;
 
-  /// Cap on learned clauses per fault search (--learned-limit).
-  int learned_limit = 512;
+  // kept for perfbench; drop at the next benchmark change
+  int learned_limit = 512;  ///< read by nothing
 
   /// Seed for the random X-fill performed before fault simulation.
   std::uint64_t fill_seed = 1995;

@@ -65,10 +65,9 @@ std::string format_stage_stats(const StageStats& s) {
      << "  search core            implications "
      << s.search.implication_assigns << ", trail pushes "
      << s.search.trail_pushes << ", pops " << s.search.trail_pops << "\n"
-     << "  conflict learning      conflicts " << s.search.conflicts
-     << ", learned " << s.search.learned << ", clause hits "
-     << s.search.clause_hits << ", backjump levels skipped "
-     << s.search.backjump_levels_skipped << "\n"
+     << "  conflict analysis      conflicts " << s.search.conflicts
+     << ", backjump levels skipped " << s.search.backjump_levels_skipped
+     << "\n"
      << "  verification probes    " << s.search.probe_runs
      << " (cone-scoped " << s.search.probe_cone << ", full "
      << s.search.probe_full << ")\n"

@@ -23,7 +23,8 @@ constexpr std::string_view kHeaderPrefix = "# gdf-journal v1 spec=";
 /// with rows of the new one. 2: Untestable means TDgen proved that no
 /// local test exists. 3: synchronization tries the circuit's
 /// forward-simulated prefix library before the reverse-time search.
-constexpr int kFlowVersion = 3;
+/// 4: the TDgen search stores no learned clauses.
+constexpr int kFlowVersion = 4;
 
 std::string hex16(std::uint64_t value) {
   char buffer[17];
@@ -74,8 +75,7 @@ std::uint64_t sweep_fingerprint(const SweepSpec& spec, bool csv_layout) {
        << o.sequential.max_sync_frames << '|'
        << (o.fault_dropping ? "drop" : "nodrop") << '|'
        << (o.fault_sites.include_branches ? "full" : "stems") << '|'
-       << static_cast<int>(o.learn) << '|' << o.learned_limit << '|'
-       << o.fault_budget << '\n';
+       << static_cast<int>(o.learn) << '|' << o.fault_budget << '\n';
   }
   return fnv1a64(os.str());
 }

@@ -1,6 +1,5 @@
 #include "tdgen/implication.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "base/error.hpp"
@@ -48,7 +47,6 @@ ImplicationEngine::ImplicationEngine(const alg::AtpgModel& model,
   sets_.assign(model.node_count(), kFullSet);
   pending_.assign(model.node_count(), 0);
   in_cone_.assign(model.node_count(), 0);
-  watches_.assign(model.node_count(), {});
   mark_epoch_.assign(model.node_count(), 0);
   activity_.assign(model.node_count(), 0.0);
 }
@@ -60,13 +58,6 @@ void ImplicationEngine::init(const alg::FaultSpec& fault) {
   clear_queue();
   conflict_ = false;
   conflict_node_ = kNoNode;
-  conflict_clause_ = base::ClauseArena::kNone;
-  arena_ = {};
-  watch_pos_.clear();
-  for (auto& w : watches_) {
-    w.clear();
-  }
-  watching_ = false;
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
 
@@ -119,13 +110,6 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
   sets_ = donor.root_sets_;
   conflict_ = donor.root_conflict_;
   conflict_node_ = kNoNode;
-  conflict_clause_ = base::ClauseArena::kNone;
-  arena_ = {};
-  watch_pos_.clear();
-  for (auto& w : watches_) {
-    w.clear();
-  }
-  watching_ = false;
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
   site_chain_ = donor.site_chain_;
@@ -170,7 +154,6 @@ void ImplicationEngine::rollback(std::size_t m) {
   clear_queue();
   conflict_ = false;
   conflict_node_ = kNoNode;
-  conflict_clause_ = base::ClauseArena::kNone;
 }
 
 void ImplicationEngine::backtrack_level() {
@@ -196,97 +179,11 @@ bool ImplicationEngine::narrow(NodeId n, VSet next, NodeId reason, Why why) {
   if (next == kEmptySet) {
     conflict_ = true;
     conflict_node_ = n;
-    conflict_clause_ = base::ClauseArena::kNone;
     ++counters_.conflicts;
     return false;
   }
   mark_dirty(n);
-  // A narrowing can only turn clause literals true, so clauses watching n
-  // are the only ones that may have become fully satisfied (= fired).
-  // watching_ keeps the clause-free hot path (no learning, or nothing
-  // learned yet) from paying a random watch-list load per narrowing.
-  if (watching_ && !watches_[n].empty() && !check_watches(n)) {
-    return false;
-  }
   return true;
-}
-
-bool ImplicationEngine::check_watches(NodeId n) {
-  auto& wl = watches_[n];
-  for (std::size_t i = 0; i < wl.size();) {
-    const std::uint32_t c = wl[i];
-    auto& wp = watch_pos_[c];
-    const std::span<const base::ClauseLit> lits = arena_.lits(c);
-    const int slot = lits[wp[0]].node == n ? 0 : 1;
-    const std::uint32_t pos = wp[slot];
-    const std::uint32_t other = wp[1 - slot];
-    if (!lit_true(lits[pos])) {
-      ++i;
-      continue;
-    }
-    // This watch turned true: move it to a literal that is still false.
-    std::uint32_t repl = static_cast<std::uint32_t>(lits.size());
-    for (std::uint32_t k = 0; k < lits.size(); ++k) {
-      if (k != pos && k != other && !lit_true(lits[k])) {
-        repl = k;
-        break;
-      }
-    }
-    if (repl != lits.size()) {
-      wp[slot] = repl;
-      watches_[lits[repl].node].push_back(c);
-      wl[i] = wl.back();
-      wl.pop_back();
-      continue;
-    }
-    if (other != pos && !lit_true(lits[other])) {
-      // Degraded but covered: the other watch is now the clause's only
-      // false literal, so its node's narrowing will revisit the clause.
-      ++i;
-      continue;
-    }
-    // Every literal holds — the nogood fires.
-    conflict_ = true;
-    conflict_node_ = kNoNode;
-    conflict_clause_ = c;
-    ++counters_.conflicts;
-    ++counters_.clause_hits;
-    return false;
-  }
-  return true;
-}
-
-std::size_t ImplicationEngine::add_clause(
-    std::span<const base::ClauseLit> lits) {
-  // Pick two literals that are false in the current state (one suffices
-  // for a unit clause; none means the clause already fires here).
-  std::uint32_t a = static_cast<std::uint32_t>(lits.size());
-  std::uint32_t b = a;
-  for (std::uint32_t k = 0; k < lits.size(); ++k) {
-    if (lit_true(lits[k])) {
-      continue;
-    }
-    if (a == lits.size()) {
-      a = k;
-    } else {
-      b = k;
-      break;
-    }
-  }
-  if (a == lits.size()) {
-    return base::ClauseArena::kNone;
-  }
-  if (b == lits.size()) {
-    b = a;
-  }
-  const std::size_t index = arena_.add(lits);
-  watch_pos_.push_back({a, b});
-  watches_[lits[a].node].push_back(static_cast<std::uint32_t>(index));
-  if (b != a) {
-    watches_[lits[b].node].push_back(static_cast<std::uint32_t>(index));
-  }
-  watching_ = true;
-  return index;
 }
 
 void ImplicationEngine::add_pending(NodeId n, std::uint8_t bits) {
@@ -476,16 +373,9 @@ bool ImplicationEngine::analyze(Analysis* out) {
     }
   };
 
-  // Seed with the conflict's cause: the emptied node, or every literal of
-  // the fired clause.
-  if (conflict_clause_ != base::ClauseArena::kNone) {
-    for (const base::ClauseLit& lit : arena_.lits(conflict_clause_)) {
-      mark(lit.node);
-    }
-  } else {
-    GDF_ASSERT(conflict_node_ != kNoNode, "conflict without a cause");
-    mark(conflict_node_);
-  }
+  // Seed with the conflict's cause, the emptied node.
+  GDF_ASSERT(conflict_node_ != kNoNode, "conflict without a cause");
+  mark(conflict_node_);
 
   // Walk the decision-level trail segment top-down. Marked external
   // entries are the decision constraints the conflict rests on; marked
@@ -515,21 +405,6 @@ bool ImplicationEngine::analyze(Analysis* out) {
       out->levels.push_back(static_cast<std::uint32_t>(l));
     }
   }
-  // Same-node literals conjoin: keep one literal with the intersection.
-  std::sort(out->lits.begin(), out->lits.end(),
-            [](const base::ClauseLit& a, const base::ClauseLit& b) {
-              return a.node < b.node;
-            });
-  std::size_t w = 0;
-  for (const base::ClauseLit& lit : out->lits) {
-    if (w > 0 && out->lits[w - 1].node == lit.node) {
-      out->lits[w - 1].allowed &= lit.allowed;
-    } else {
-      out->lits[w++] = lit;
-    }
-  }
-  out->lits.resize(w);
-
   // EVSIDS bump: every node on the conflict side (marked during the walk)
   // gains the current increment, then the increment grows — a geometric
   // decay of all other activities without touching them. Purely per-fault

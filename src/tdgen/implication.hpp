@@ -24,16 +24,13 @@
 // empty set, guaranteed observation on carrier-only sets) are sound.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "algebra/frame_sim.hpp"
 #include "algebra/model.hpp"
 #include "algebra/tables.hpp"
-#include "base/clause_arena.hpp"
 
 namespace gdf::tdgen {
 
@@ -43,16 +40,23 @@ struct ImplCounters {
   long assigns = 0;       ///< assign() calls (decisions + pins)
   long trail_pushes = 0;  ///< set narrowings recorded on the trail
   long trail_pops = 0;    ///< narrowings undone by rollback
-  long conflicts = 0;     ///< empty-set narrowings + clause firings
-  long clause_hits = 0;   ///< conflicts announced by a watched clause
+  long conflicts = 0;     ///< empty-set narrowings
+};
+
+/// One containment fact of a nogood: true in an engine state iff
+/// sets[node] ⊆ allowed, i.e. (sets[node] & ~allowed) == 0.
+struct NogoodLit {
+  alg::NodeId node = 0;
+  alg::VSet allowed = 0;
 };
 
 /// Result of walking the trail back from a conflict: the minimal set of
 /// decision constraints whose conjunction re-derives the conflict.
 struct Analysis {
-  /// Decision literals, deduped per node (conjunction = intersection).
+  /// Decision literals, top of the trail first; a node decided at several
+  /// levels appears once per decision (conjunction = intersection).
   /// sets[lit.node] ⊆ lit.allowed for all lits is a nogood.
-  std::vector<base::ClauseLit> lits;
+  std::vector<NogoodLit> lits;
   /// Sorted unique decision levels (1-based) involved in the conflict.
   std::vector<std::uint32_t> levels;
 };
@@ -85,9 +89,9 @@ class ImplicationEngine {
   /// model and exactly `fault`. Returns false (leaving this engine
   /// untouched) when the donor cannot vouch for that. The result equals
   /// init(fault) followed by every assign() the donor's snapshot holds,
-  /// node for node and conflict flag included, with an empty trail, no
-  /// clauses and zero activities; the snapshot also becomes this engine's
-  /// own root, so it can serve as a donor in turn.
+  /// node for node and conflict flag included, with an empty trail and
+  /// zero activities; the snapshot also becomes this engine's own root,
+  /// so it can serve as a donor in turn.
   bool init_from(const ImplicationEngine& donor,
                  const alg::FaultSpec& fault);
 
@@ -133,7 +137,7 @@ class ImplicationEngine {
   const alg::DelayAlgebra& algebra() const { return *algebra_; }
   const alg::FaultSpec& fault() const { return fault_; }
 
-  // --- Conflict-driven learning -------------------------------------------
+  // --- Conflict analysis ---------------------------------------------------
   //
   // Every trail entry carries a reason tag naming the implication rule that
   // produced it, so a conflict can be resolved backward: walk the trail from
@@ -141,26 +145,15 @@ class ImplicationEngine {
   // read, and keep whatever bottoms out at decision assignments. The result
   // is a nogood over decision literals — valid because the rules are
   // monotone, so any state satisfying all its literals re-derives this very
-  // conflict at fixpoint. That same monotonicity makes clause firing a pure
-  // shortcut: a fired clause only announces a conflict the fixpoint was
-  // already guaranteed to reach, so learning never changes which states
-  // conflict — only how fast the engine notices.
+  // conflict at fixpoint. The search backjumps on the nogood's decision
+  // levels and orders decisions by the activities the walk bumps; the
+  // nogood itself is not stored.
 
-  /// Resolves the current conflict into decision literals. Requires
-  /// conflict() and at least one open decision level, with the trail still
-  /// intact (call before any rollback). Returns false when there is nothing
-  /// to analyze.
+  /// Resolves the current conflict (from the emptied node) into decision
+  /// literals. Requires conflict() and at least one open decision level,
+  /// with the trail still intact (call before any rollback). Returns false
+  /// when there is nothing to analyze.
   bool analyze(Analysis* out);
-
-  /// Adds a nogood clause and wires it into the watch lists at the current
-  /// state. Returns the clause index, or ClauseArena::kNone when every
-  /// literal already holds (the caller should treat the state as
-  /// conflicted — cannot happen at a conflict-free fixpoint for a valid
-  /// clause).
-  std::size_t add_clause(std::span<const base::ClauseLit> lits);
-
-  /// The clauses learned so far.
-  const base::ClauseArena& clauses() const { return arena_; }
 
   /// EVSIDS node activity: every conflict analysis bumps the nodes on the
   /// conflict side (all marked nodes) and geometrically decays the rest by
@@ -197,10 +190,6 @@ class ImplicationEngine {
 
   bool narrow(alg::NodeId n, alg::VSet next, alg::NodeId reason, Why why);
   void mark_dirty(alg::NodeId n);
-  bool check_watches(alg::NodeId n);
-  bool lit_true(const base::ClauseLit& lit) const {
-    return (sets_[lit.node] & ~lit.allowed) == 0;
-  }
   void add_pending(alg::NodeId n, std::uint8_t bits);
   bool process(alg::NodeId n, std::uint8_t pend);
   bool propagate();
@@ -239,21 +228,10 @@ class ImplicationEngine {
   /// Membership in the fault cone — init() scratch.
   std::vector<std::uint8_t> in_cone_;
   bool conflict_ = false;
-  /// What tripped the conflict: the emptied node, or the fired clause.
+  /// The node whose set emptied (what analyze() resolves from).
   alg::NodeId conflict_node_ = alg::kNoNode;
-  std::size_t conflict_clause_ = base::ClauseArena::kNone;
   bool full_fixpoint_ = false;
   ImplCounters counters_;
-
-  // Learned clauses + two-watch lists (watches_[n] = clauses watching a
-  // literal on n). Rollback needs no watch maintenance: un-narrowing only
-  // turns literals false again.
-  base::ClauseArena arena_;
-  std::vector<std::array<std::uint32_t, 2>> watch_pos_;
-  std::vector<std::vector<std::uint32_t>> watches_;
-  /// False until the first clause is wired — lets narrow() skip the watch
-  /// probe entirely on clause-free searches.
-  bool watching_ = false;
 
   // EVSIDS node activities (see activity()).
   std::vector<double> activity_;

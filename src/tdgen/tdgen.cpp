@@ -58,8 +58,6 @@ TdgenSearch::~TdgenSearch() {
   tally.trail_pushes = engine_.counters().trail_pushes;
   tally.trail_pops = engine_.counters().trail_pops;
   tally.conflicts = engine_.counters().conflicts;
-  tally.clause_hits = engine_.counters().clause_hits;
-  tally.learned = learned_;
   tally.backjump_levels_skipped = backjump_levels_skipped_;
   options_.tally->add(tally);
 }
@@ -578,18 +576,7 @@ bool TdgenSearch::conflict_backtrack() {
       involved_levels_[lvl] = 1;
     }
   }
-  if (!backtrack(&involved_levels_)) {
-    return false;
-  }
-  // Learn at the post-jump state (the backjump flipped a decision at one
-  // of the clause's involved levels, so a literal is false again and the
-  // clause has a watch).
-  if (engine_.clauses().size() <
-          static_cast<std::size_t>(options_.learned_limit) &&
-      engine_.add_clause(analysis_.lits) != base::ClauseArena::kNone) {
-    ++learned_;
-  }
-  return true;
+  return backtrack(&involved_levels_);
 }
 
 TdgenStatus TdgenSearch::exhausted_status() const {

@@ -65,11 +65,13 @@ struct SearchCounters {
   long implication_assigns = 0;
   long trail_pushes = 0;
   long trail_pops = 0;
-  long conflicts = 0;    ///< empty-set narrowings + clause firings
-  long learned = 0;      ///< clauses learned from conflict analysis
-  long clause_hits = 0;  ///< conflicts announced early by a learned clause
+  long conflicts = 0;  ///< empty-set narrowings
   long backjump_levels_skipped = 0;  ///< levels discarded untried by CBJ
   long restarts = 0;  ///< always 0: the search never restarts
+  // kept for perfbench; drop at the next benchmark change
+  long learned = 0;  ///< always 0: the search stores no clauses
+  // kept for perfbench; drop at the next benchmark change
+  long clause_hits = 0;  ///< always 0: the search stores no clauses
   long probe_runs = 0;  ///< verification probes executed (not memo-skipped)
   long probe_cone = 0;  ///< … settled incrementally from the cached state
   long probe_full = 0;  ///< … requiring a full two-frame pass
@@ -80,8 +82,6 @@ struct SearchCounters {
     trail_pushes += other.trail_pushes;
     trail_pops += other.trail_pops;
     conflicts += other.conflicts;
-    learned += other.learned;
-    clause_hits += other.clause_hits;
     backjump_levels_skipped += other.backjump_levels_skipped;
     probe_runs += other.probe_runs;
     probe_cone += other.probe_cone;
@@ -94,15 +94,14 @@ class TdgenSearch;
 
 struct TdgenOptions {
   int backtrack_limit = 100;  ///< paper §6
-  /// Conflict-driven mode: learn blocking implicates from every engine
-  /// conflict, backjump non-chronologically to the deepest involved level,
-  /// memoize successful verification probes, and lift don't-cares cheapest
-  /// cone first. Off reproduces the chronological search byte-for-byte.
+  /// Conflict-driven mode: analyze every engine conflict into the
+  /// decision levels it rests on and backjump non-chronologically past the
+  /// others, order decisions by EVSIDS (see vsids), and memoize successful
+  /// verification probes. Off reproduces the chronological search
+  /// byte-for-byte.
   bool learn = true;
-  /// Cap on the clauses one search stores; once reached, later nogoods
-  /// still drive backjumping but are not kept. Every analyzed conflict
-  /// spends a backtrack, so backtrack_limit bounds the count as well.
-  int learned_limit = 512;
+  // kept for perfbench; drop at the next benchmark change
+  int learned_limit = 512;  ///< read by nothing
   /// Order decisions by EVSIDS node activity (bumped on conflict-side
   /// nodes at every analysis), tie-broken by the static order, with phase
   /// saving across backtracks. Active only when `learn` is set; all-zero
@@ -145,9 +144,6 @@ class TdgenSearch {
 
   TdgenSearch(const TdgenSearch&) = delete;
   TdgenSearch& operator=(const TdgenSearch&) = delete;
-
-  /// This search's implication engine (its clauses and counters).
-  const ImplicationEngine& engine() const { return engine_; }
 
   /// Constrains a PPO line to `allowed` (e.g. steady clean {1} during
   /// propagation justification re-entry). Call before prime().
@@ -193,8 +189,7 @@ class TdgenSearch {
   /// them further down; a backtrack without analysis (nullptr) poisons
   /// the levels it crosses, pinning the walk below them to chronological.
   bool backtrack(const std::vector<std::uint8_t>* involved = nullptr);
-  /// Analyzes the current engine conflict, backjumps, then learns a
-  /// clause while the database is under learned_limit.
+  /// Analyzes the current engine conflict and backjumps on its levels.
   bool conflict_backtrack();
   bool choose_decision();
   bool push_decision(alg::NodeId node, alg::VSet try_set);
@@ -271,7 +266,6 @@ class TdgenSearch {
   /// primary splits retry the phase that survived deepest before falling
   /// back to the static vset_first choice. 0 = no phase saved.
   std::vector<alg::VSet> saved_phase_;
-  long learned_ = 0;
   long backjump_levels_skipped_ = 0;
   bool primed_ = false;
   bool root_ok_ = false;

@@ -40,7 +40,6 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
   EXPECT_NE(text.find("--bench-dir"), std::string::npos);
   EXPECT_NE(text.find("--shard-faults"), std::string::npos);
   EXPECT_NE(text.find("--learn"), std::string::npos);
-  EXPECT_NE(text.find("--learned-limit"), std::string::npos);
   EXPECT_NE(text.find("--on-error"), std::string::npos);
   EXPECT_NE(text.find("--fault-budget"), std::string::npos);
   EXPECT_NE(text.find("--journal"), std::string::npos);
@@ -90,9 +89,6 @@ TEST(ArgsTest, LearnModeChoices) {
   EXPECT_EQ(parse({"--all", "--learn", "off"}).atpg.learn,
             core::LearnMode::Off);
   EXPECT_THROW(parse({"--all", "--learn", "maybe"}), Error);
-  EXPECT_EQ(parse({"--all"}).atpg.learned_limit, 512);
-  EXPECT_EQ(parse({"--all", "--learned-limit", "64"}).atpg.learned_limit,
-            64);
 }
 
 TEST(ArgsTest, DeletedModesAreInputErrors) {
@@ -107,7 +103,9 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
         std::initializer_list<const char*>{"--all", "--shard-epoch", "8"},
         std::initializer_list<const char*>{"--all", "--tdsim", "exact"},
         std::initializer_list<const char*>{"--all", "--decision-limit",
-                                           "5"}}) {
+                                           "5"},
+        std::initializer_list<const char*>{"--all", "--learned-limit",
+                                           "64"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);

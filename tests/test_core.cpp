@@ -257,10 +257,9 @@ std::vector<bool> local_oracle(const CircuitContext& ctx,
 // oracle's stimuli detect some Tested fault, so each comparison had
 // something to contradict.
 void expect_verdicts_agree(std::initializer_list<const char*> names) {
-  std::vector<AtpgOptions> configs(4);
+  std::vector<AtpgOptions> configs(3);
   configs[1].learn = LearnMode::Off;
   configs[2].fault_budget = 2000;
-  configs[3].learned_limit = 16;
   for (AtpgOptions& options : configs) {
     options.fault_dropping = false;
   }

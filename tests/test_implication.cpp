@@ -413,7 +413,7 @@ TEST(ConflictAnalysis, LearnedNogoodsReplayToConflictUnderFullFixpoint) {
         replay.init(spec);
         ASSERT_FALSE(replay.conflict());
         replay.push_level();
-        for (const base::ClauseLit& lit : analysis.lits) {
+        for (const NogoodLit& lit : analysis.lits) {
           if (!replay.assign(lit.node, lit.allowed)) {
             break;
           }
@@ -427,71 +427,6 @@ TEST(ConflictAnalysis, LearnedNogoodsReplayToConflictUnderFullFixpoint) {
   }
   // The scripts must actually exercise the analyzer.
   EXPECT_GT(analyzed, 20);
-}
-
-TEST(ConflictAnalysis, WatchedClauseFiresOnlyWhereFixpointConflicts) {
-  // A learned clause is a shortcut, not new information: when the watch
-  // scheme fires it, the same assignments on a clause-free engine must
-  // conflict on their own at fixpoint.
-  const net::Netlist nl = net::expand_fanout_branches(circuits::make_c17());
-  const AtpgModel model(nl);
-  const alg::FaultSpec spec{model.head_of(nl.find("N11")), true};
-  int fired = 0;
-  Rng rng(1995);
-  for (int trial = 0; trial < 200; ++trial) {
-    ImplicationEngine learner(model, robust_algebra());
-    learner.init(spec);
-    Analysis analysis;
-    // Collect one nogood from a random conflict.
-    std::vector<base::ClauseLit> clause;
-    for (int step = 0; step < 10 && clause.empty(); ++step) {
-      const NodeId n =
-          static_cast<NodeId>(rng.next_in(0, model.node_count() - 1));
-      learner.push_level();
-      if (!learner.assign(n, static_cast<VSet>(rng.next_in(1, 255))) &&
-          learner.analyze(&analysis)) {
-        clause = analysis.lits;
-      }
-    }
-    if (clause.empty()) {
-      continue;
-    }
-    // Arm it on a fresh engine, then walk back into the nogood by
-    // re-asserting its own literals one at a time: once the last literal
-    // holds the watch scheme must fire — and at every step along the way
-    // a clause-free engine given the same assignments must agree on
-    // conflict-or-not, because the clause is a shortcut to a conflict the
-    // rule fixpoint re-derives on its own.
-    ImplicationEngine armed(model, robust_algebra());
-    armed.init(spec);
-    ImplicationEngine plain(model, robust_algebra());
-    plain.init(spec);
-    if (armed.add_clause(clause) == base::ClauseArena::kNone) {
-      continue;
-    }
-    bool conflicted = false;
-    for (const base::ClauseLit& lit : clause) {
-      armed.push_level();
-      plain.push_level();
-      const bool ok_armed = armed.assign(lit.node, lit.allowed);
-      const bool ok_plain = plain.assign(lit.node, lit.allowed);
-      ASSERT_EQ(ok_armed, ok_plain)
-          << "clause firing diverged from the fixpoint at trial " << trial;
-      if (!ok_armed) {
-        conflicted = true;
-        if (armed.counters().clause_hits > 0) {
-          ++fired;
-        }
-        break;
-      }
-    }
-    // All literals held without a conflict would mean the nogood is not a
-    // nogood at all.
-    EXPECT_TRUE(conflicted) << "nogood satisfied without conflict, trial "
-                            << trial;
-  }
-  // The exercise is vacuous unless some clause actually fired.
-  EXPECT_GT(fired, 0);
 }
 
 }  // namespace

@@ -752,9 +752,9 @@ TEST(SweepFingerprintTest, PinsJobListAndLayout) {
   // journal written before a change that moved verdicts, or before the
   // hashed field list changed, is refused. A change that moves verdicts
   // bumps journal.cpp's kFlowVersion; either change moves this value.
-  // Dropping the decision-limit fields from the hashed list moved it
-  // last; kFlowVersion stayed 3 because no verdict moved.
-  EXPECT_EQ(base, 0x8634b6469bf2c9a0ULL);
+  // Deleting the learned-clause store moved it last: kFlowVersion went to
+  // 4 and the learned-limit field left the hashed list.
+  EXPECT_EQ(base, 0xd587beb15726b9e3ULL);
 }
 
 class SweepFaultInjectionTest : public ::testing::Test {
