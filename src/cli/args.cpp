@@ -99,14 +99,9 @@ DriverConfig parse_args(int argc, const char* const* argv) {
       config.atpg.sequential.backtrack_limit =
           parse_int(arg, value_of(i, arg));
     } else if (arg == "--learn") {
-      const std::string mode = value_of(i, arg);
-      if (mode == "on") {
-        config.atpg.learn = core::LearnMode::On;
-      } else if (mode == "off") {
-        config.atpg.learn = core::LearnMode::Off;
-      } else {
-        throw Error("--learn expects 'on' or 'off', got '" + mode + "'");
-      }
+      config.atpg.learn = parse_on_off(arg, value_of(i, arg))
+                              ? core::LearnMode::On
+                              : core::LearnMode::Off;
     } else if (arg == "--fault-budget") {
       const int budget = parse_int(arg, value_of(i, arg));
       check(budget > 0, "--fault-budget expects a positive assignment count");
@@ -260,9 +255,9 @@ std::string usage() {
       "                          and --shard-faults\n"
       "      --learn MODE        conflict-driven two-frame search: 'on'\n"
       "                          (conflict analysis drives backjumps and\n"
-      "                          the activity decision order, plus a probe\n"
-      "                          memo; default) or 'off' (chronological\n"
-      "                          search, static decision order)\n"
+      "                          the activity decision order; default) or\n"
+      "                          'off' (chronological search, static\n"
+      "                          decision order)\n"
       "      --seed N            RNG seed for X-fill         [1995]\n"
       "      --no-fault-dropping disable dropping via fault simulation\n"
       "      --no-branch-faults  gate outputs only, no fanout branches\n"

@@ -36,9 +36,7 @@ struct DriverConfig {
   /// Intra-circuit fault sharding (--shard-faults auto|N|off). Defaults
   /// to auto: large circuits shard across idle workers; the emitted bytes
   /// never depend on it.
-  run::ShardConfig shard{.policy = run::ShardConfig::Policy::Auto,
-                         .workers = 0,
-                         .min_faults = 1500};
+  run::ShardConfig shard{.policy = run::ShardConfig::Policy::Auto};
 
   // Parameter-matrix axes (comma-separated flag values). Empty = just the
   // base configuration. Any axis with two or more values turns the run

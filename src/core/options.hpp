@@ -47,7 +47,7 @@ struct AtpgOptions {
 
   /// Conflict-driven mode for the two-frame search. Off reproduces the
   /// chronological search byte-for-byte (no conflict analysis, static
-  /// decision order, no probe memo); On is documented on LearnMode.
+  /// decision order); On is documented on LearnMode.
   LearnMode learn = LearnMode::On;
 
   // kept for perfbench; drop at the next benchmark change

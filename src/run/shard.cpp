@@ -37,18 +37,6 @@ ShardConfig parse_shard_faults(std::string_view text) {
   return config;
 }
 
-std::string shard_faults_name(const ShardConfig& config) {
-  switch (config.policy) {
-    case ShardConfig::Policy::Off:
-      return "off";
-    case ShardConfig::Policy::Auto:
-      return "auto";
-    case ShardConfig::Policy::Forced:
-      return std::to_string(config.workers);
-  }
-  return "off";
-}
-
 unsigned shard_workers(const ShardConfig& config, const ThreadPool& pool,
                        std::size_t fault_count) {
   switch (config.policy) {

@@ -69,7 +69,6 @@ struct ShardConfig {
 /// Parses a --shard-faults value: "off" | "auto" | a worker count in
 /// [1, ThreadPool::kMaxThreads]. Throws gdf::Error otherwise.
 ShardConfig parse_shard_faults(std::string_view text);
-std::string shard_faults_name(const ShardConfig& config);
 
 /// Generation parallelism the config yields for a run with `fault_count`
 /// faults on `pool`: 0 = do not shard (run sequentially).

@@ -248,18 +248,6 @@ ErrorPolicy parse_on_error(std::string_view text) {
               std::string(text) + "'");
 }
 
-std::string on_error_name(const ErrorPolicy& policy) {
-  switch (policy.mode) {
-    case ErrorPolicy::Mode::Abort:
-      return "abort";
-    case ErrorPolicy::Mode::Skip:
-      return "skip";
-    case ErrorPolicy::Mode::Retry:
-      return "retry:" + std::to_string(policy.retries);
-  }
-  return "abort";
-}
-
 std::string format_sweep_error_row(const SweepRow& row) {
   // Deterministic bytes: label, canonical index, structured kind, and the
   // exception's message — nothing timing- or attempt-dependent.
@@ -487,7 +475,6 @@ SweepStats run_sweep(const SweepSpec& spec,
         row.job = jobs[i];
         row.error = std::move(message);
         row.error_kind = kind;
-        row.attempts = cell.attempts;
         emit(row);
         ++stats.emitted;
         ++stats.error_cells;
@@ -502,7 +489,6 @@ SweepStats run_sweep(const SweepSpec& spec,
         break;
       }
       lock.unlock();
-      cell.row->attempts = cell.attempts;
       emit(*cell.row);
       ++stats.emitted;
       stats.retries += cell.attempts - 1;

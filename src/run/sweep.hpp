@@ -7,7 +7,7 @@
 // above, each cell a fully resolved AtpgOptions. Every Table-3 row and
 // every bench/ ablation in the repo is one such spec.
 //
-// run_sweep() executes the jobs on a work-stealing pool (--jobs N) and
+// run_sweep() executes the jobs on a thread pool (--jobs N) and
 // hands finished rows to the caller **in canonical order** no matter when
 // they complete: workers publish into an indexed channel and the calling
 // thread emits row i only after rows 0..i-1. Per-job results depend only
@@ -62,7 +62,6 @@ struct ErrorPolicy {
 
 /// Parses an --on-error value: "abort" | "skip" | "retry:N" (N >= 1).
 ErrorPolicy parse_on_error(std::string_view text);
-std::string on_error_name(const ErrorPolicy& policy);
 
 /// One circuit to sweep: either a catalog name (honoring the file-backed
 /// bench_dir) or an explicit .bench file from disk.
@@ -148,8 +147,6 @@ struct SweepRow {
   /// `# error:` line (see format_sweep_error_row).
   std::string error;
   ErrorKind error_kind = ErrorKind::Internal;
-  /// Times the cell ran (> 1 only under --on-error retry:N).
-  int attempts = 1;
   /// Replayed from a journal: only `job` is meaningful; the caller
   /// re-emits the journaled text instead of formatting this row.
   bool replayed = false;

@@ -5,11 +5,11 @@
 
 namespace gdf::run {
 
-ThreadPool::ThreadPool(unsigned threads)
-    : queues_(std::max(1u, threads)) {
-  threads_.reserve(queues_.size());
-  for (std::size_t i = 0; i < queues_.size(); ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+ThreadPool::ThreadPool(unsigned threads) {
+  threads = std::max(1u, threads);
+  threads_.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -27,8 +27,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
   }
   wake_.notify_one();
 }
@@ -90,7 +89,7 @@ void ThreadPool::wait(Group& group, const std::function<bool()>& done) {
     }
     if (!group.tasks.empty()) {
       // Help: run the group's own oldest task on this thread. Never
-      // steals unrelated work — the waiter's latency is bounded by its
+      // takes unrelated work — the waiter's latency is bounded by its
       // group.
       std::function<void()> task = pop_group_task(group);
       lock.unlock();
@@ -116,15 +115,15 @@ void ThreadPool::wait(Group& group, const std::function<bool()>& done) {
   }
 }
 
-bool ThreadPool::pop_task(std::size_t self, std::function<void()>* task) {
-  if (!queues_[self].empty()) {
-    *task = std::move(queues_[self].front());
-    queues_[self].pop_front();
+bool ThreadPool::pop_task(std::function<void()>* task) {
+  if (!queue_.empty()) {
+    *task = std::move(queue_.front());
+    queue_.pop_front();
     return true;
   }
-  // Fork-join group tasks next: helping a sharded run already in flight
-  // beats starting fresh work for tail latency. The popped closure is
-  // wrapped so the group's accounting happens wherever it runs.
+  // With the queue empty, an idle worker helps a sharded run in flight.
+  // The popped group closure is wrapped so the group's accounting happens
+  // wherever it runs.
   if (!groups_.empty()) {
     Group& group = *groups_.front();
     std::function<void()> inner = pop_group_task(group);
@@ -143,24 +142,15 @@ bool ThreadPool::pop_task(std::size_t self, std::function<void()>* task) {
     };
     return true;
   }
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    std::deque<std::function<void()>>& victim =
-        queues_[(self + k) % queues_.size()];
-    if (!victim.empty()) {
-      *task = std::move(victim.front());
-      victim.pop_front();
-      return true;
-    }
-  }
   return false;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stop_ || pop_task(self, &task); });
+      wake_.wait(lock, [&] { return stop_ || pop_task(&task); });
       if (!task) {
         return;  // stop requested and nothing left to run
       }

@@ -1,14 +1,13 @@
-// A small work-stealing thread pool for whole-ATPG-run granularity, plus
-// fork-join task groups for intra-run fault sharding.
+// A small thread pool for whole-ATPG-run granularity, plus fork-join task
+// groups for intra-run fault sharding.
 //
-// Each worker owns a deque: it pops its own work FIFO (submission order is
-// the scheduler's priority order — see run/sweep's longest-job-first
-// pass) and steals FIFO from the other workers when its deque runs dry,
-// so a skewed submission still keeps every worker busy. Tasks here are
+// All workers pop one FIFO queue, so tasks start in submission order —
+// the scheduler's priority order (see run/sweep's longest-job-first
+// pass) — and no worker idles while anything is queued. Tasks here are
 // entire ATPG runs or single-fault generation slices — micro- to
-// multi-second each — so all queues share one mutex; the queue operations
-// are nanoseconds against that grain and a single lock keeps the pool
-// trivially race-free.
+// multi-second each — so the queue and the groups share one mutex; the
+// queue operations are nanoseconds against that grain and a single lock
+// keeps the pool trivially race-free.
 //
 // A Group is a fork-join region inside one task: submit(group, ...) fans
 // work out, wait(group) joins. The waiting thread *helps* — it executes
@@ -74,7 +73,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task (round-robin across worker deques). Thread-safe.
+  /// Enqueues a task at the back of the queue. Thread-safe.
   void submit(std::function<void()> task);
 
   /// Enqueues a task against `group`. Thread-safe; callable from inside
@@ -118,11 +117,10 @@ class ThreadPool {
   static constexpr unsigned kMaxThreads = 1024;
 
  private:
-  void worker_loop(std::size_t self);
-  /// Pops the next task for worker `self` (own front, then a registered
-  /// group's front, then steal another deque's front). Caller holds
-  /// mutex_.
-  bool pop_task(std::size_t self, std::function<void()>* task);
+  void worker_loop();
+  /// Pops the next task for a worker (the queue's front, then a
+  /// registered group's front). Caller holds mutex_.
+  bool pop_task(std::function<void()>* task);
   /// Pops the front task of `group`'s queue, deregistering the group when
   /// that empties it. Caller holds mutex_.
   std::function<void()> pop_group_task(Group& group);
@@ -134,9 +132,8 @@ class ThreadPool {
   /// submitted); waiters re-check their own group and condition.
   /// Pool-owned so it outlives every Group.
   std::condition_variable group_done_;
-  std::vector<std::deque<std::function<void()>>> queues_;
+  std::deque<std::function<void()>> queue_;
   std::vector<Group*> groups_;  ///< groups with queued tasks, FIFO
-  std::size_t next_queue_ = 0;  ///< round-robin submission cursor
   bool stop_ = false;
   const CancelToken* cancel_ = nullptr;  ///< see set_cancel_token
   std::vector<std::thread> threads_;

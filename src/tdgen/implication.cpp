@@ -329,9 +329,7 @@ bool ImplicationEngine::process(NodeId id, std::uint8_t pend) {
   return true;
 }
 
-bool ImplicationEngine::analyze(Analysis* out) {
-  out->lits.clear();
-  out->levels.clear();
+bool ImplicationEngine::analyze(std::vector<std::uint8_t>* levels) {
   if (!conflict_ || level_marks_.empty()) {
     return false;
   }
@@ -378,11 +376,13 @@ bool ImplicationEngine::analyze(Analysis* out) {
   mark(conflict_node_);
 
   // Walk the decision-level trail segment top-down. Marked external
-  // entries are the decision constraints the conflict rests on; marked
-  // rule entries dissolve into their antecedents. (A linear scan beats a
-  // per-node index here: segment entries stream sequentially and the
-  // mark-epoch probe hits L2, where worklist variants chase pointers.)
-  level_flags_.assign(level_marks_.size() + 1, 0);
+  // entries are the decision constraints the conflict rests on, and name
+  // their levels; marked rule entries dissolve into their antecedents. (A
+  // linear scan beats a per-node index here: segment entries stream
+  // sequentially and the mark-epoch probe hits L2, where worklist variants
+  // chase pointers.)
+  levels->assign(level_marks_.size() + 1, 0);
+  bool named = false;
   std::size_t lvl = level_marks_.size();
   const std::size_t stop = level_marks_[0];
   for (std::size_t i = trail_.size(); i-- > stop;) {
@@ -394,15 +394,10 @@ bool ImplicationEngine::analyze(Analysis* out) {
       continue;
     }
     if (e.why == Why::External) {
-      out->lits.push_back({e.node, static_cast<VSet>(e.reason)});
-      level_flags_[lvl] = 1;
+      (*levels)[lvl] = 1;
+      named = true;
     } else {
       resolve_rule(e);
-    }
-  }
-  for (std::size_t l = 1; l < level_flags_.size(); ++l) {
-    if (level_flags_[l] != 0) {
-      out->levels.push_back(static_cast<std::uint32_t>(l));
     }
   }
   // EVSIDS bump: every node on the conflict side (marked during the walk)
@@ -420,7 +415,7 @@ bool ImplicationEngine::analyze(Analysis* out) {
     }
     act_inc_ *= 1e-100;
   }
-  return !out->lits.empty();
+  return named;
 }
 
 bool ImplicationEngine::propagate() {

@@ -43,24 +43,6 @@ struct ImplCounters {
   long conflicts = 0;     ///< empty-set narrowings
 };
 
-/// One containment fact of a nogood: true in an engine state iff
-/// sets[node] ⊆ allowed, i.e. (sets[node] & ~allowed) == 0.
-struct NogoodLit {
-  alg::NodeId node = 0;
-  alg::VSet allowed = 0;
-};
-
-/// Result of walking the trail back from a conflict: the minimal set of
-/// decision constraints whose conjunction re-derives the conflict.
-struct Analysis {
-  /// Decision literals, top of the trail first; a node decided at several
-  /// levels appears once per decision (conjunction = intersection).
-  /// sets[lit.node] ⊆ lit.allowed for all lits is a nogood.
-  std::vector<NogoodLit> lits;
-  /// Sorted unique decision levels (1-based) involved in the conflict.
-  std::vector<std::uint32_t> levels;
-};
-
 /// True when GDF_FULL_FIXPOINT=1 asks for the exhaustive debug schedule.
 bool full_fixpoint_requested();
 
@@ -111,11 +93,6 @@ class ImplicationEngine {
   void pop_level();
   std::size_t depth() const { return level_marks_.size(); }
 
-  /// Trail position for later rollback (level-free protocol).
-  std::size_t mark() const { return trail_.size(); }
-  /// Restores every set changed after `m` and clears the conflict flag.
-  void rollback(std::size_t m);
-
   /// True when a node on the fault site's dominator chain — a node every
   /// path from the site to every observation point passes through — has
   /// lost all carrier members. At fixpoint the carrier chain backing any
@@ -133,27 +110,27 @@ class ImplicationEngine {
 
   const ImplCounters& counters() const { return counters_; }
 
-  const alg::AtpgModel& model() const { return *model_; }
-  const alg::DelayAlgebra& algebra() const { return *algebra_; }
-  const alg::FaultSpec& fault() const { return fault_; }
-
   // --- Conflict analysis ---------------------------------------------------
   //
   // Every trail entry carries a reason tag naming the implication rule that
   // produced it, so a conflict can be resolved backward: walk the trail from
   // the top, replace each narrowing of a relevant node by the facts its rule
-  // read, and keep whatever bottoms out at decision assignments. The result
-  // is a nogood over decision literals — valid because the rules are
-  // monotone, so any state satisfying all its literals re-derives this very
-  // conflict at fixpoint. The search backjumps on the nogood's decision
-  // levels and orders decisions by the activities the walk bumps; the
-  // nogood itself is not stored.
+  // read, and keep whatever bottoms out at decision assignments. Each
+  // decision level holds one such assignment (the decision or its flip),
+  // so the walk names levels: the conflict rests on those levels'
+  // assignments alone — the rules are monotone, so any state satisfying
+  // them re-derives this very conflict at fixpoint. The search backjumps
+  // past every other level and orders decisions by the activities the
+  // walk bumps; nothing is stored.
 
-  /// Resolves the current conflict (from the emptied node) into decision
-  /// literals. Requires conflict() and at least one open decision level,
-  /// with the trail still intact (call before any rollback). Returns false
-  /// when there is nothing to analyze.
-  bool analyze(Analysis* out);
+  /// Resolves the current conflict (from the emptied node) into the
+  /// decision levels it rests on: `levels` becomes depth() + 1 flags,
+  /// 1-based (entry 0 is never set), nonzero for each named level.
+  /// Requires conflict() and at least one open decision level, with the
+  /// trail still intact (call before any rollback). Returns whether any
+  /// level is named; `levels` is left untouched when there is nothing to
+  /// analyze.
+  bool analyze(std::vector<std::uint8_t>* levels);
 
   /// EVSIDS node activity: every conflict analysis bumps the nodes on the
   /// conflict side (all marked nodes) and geometrically decays the rest by
@@ -188,6 +165,9 @@ class ImplicationEngine {
   static constexpr std::uint8_t kSelf = 4;
   static constexpr std::uint8_t kAll = kIn0 | kIn1 | kSelf;
 
+  /// Restores every set changed after trail position `m` and clears the
+  /// conflict flag.
+  void rollback(std::size_t m);
   bool narrow(alg::NodeId n, alg::VSet next, alg::NodeId reason, Why why);
   void mark_dirty(alg::NodeId n);
   void add_pending(alg::NodeId n, std::uint8_t bits);
@@ -244,7 +224,6 @@ class ImplicationEngine {
   std::uint64_t analysis_epoch_ = 0;
   std::vector<std::uint64_t> mark_epoch_;
   std::vector<alg::NodeId> marked_nodes_;
-  std::vector<std::uint8_t> level_flags_;
 };
 
 }  // namespace gdf::tdgen

@@ -153,18 +153,16 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   if (failed_checks_.contains(key)) {
     return false;
   }
-  if (options_.learn) {
-    // The whole check is a pure function of the source vector, so a
-    // repeated probe returns the memoized outcome. Byte-equivalent to
-    // resimulating: rerun_sources replays exactly from any cached base.
-    const auto hit = success_checks_.find(key);
-    if (hit != success_checks_.end()) {
-      ++probe_counters_.probe_memo_hits;
-      if (out != nullptr) {
-        *out = hit->second;
-      }
-      return true;
+  // The whole check is a pure function of the source vector, so a
+  // repeated probe returns the memoized outcome. Byte-equivalent to
+  // resimulating: rerun_sources replays exactly from any cached base.
+  const auto hit = success_checks_.find(key);
+  if (hit != success_checks_.end()) {
+    ++probe_counters_.probe_memo_hits;
+    if (out != nullptr) {
+      *out = hit->second;
     }
+    return true;
   }
   const auto fail = [&]() {
     failed_checks_.insert(std::move(key));
@@ -268,9 +266,7 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
     result.ppo_sets.push_back(sim_sets[model_->ppo_node(k)]);
   }
   result.observed = std::move(observed);
-  if (options_.learn) {
-    success_checks_.emplace(std::move(key), result);
-  }
+  success_checks_.emplace(std::move(key), result);
   if (out != nullptr) {
     *out = std::move(result);
   }
@@ -389,27 +385,25 @@ bool TdgenSearch::push_decision(NodeId node, VSet try_set) {
   try_set &= current;
   GDF_ASSERT(try_set != kEmptySet && try_set != current,
              "decision must strictly split a set");
-  if (options_.learn && options_.vsids) {
+  if (!saved_phase_.empty()) {
     saved_phase_[node] = try_set;
   }
   engine_.push_level();
   stack_.push_back({node, static_cast<VSet>(current & ~try_set)});
-  if (options_.learn) {
-    // Fresh accumulated conflict set for the new level (see backtrack).
-    const std::size_t level = stack_.size();
-    if (cbj_rows_.size() <= level) {
-      cbj_rows_.resize(level + 1);
-      cbj_poison_.resize(level + 1, 0);
-    }
-    cbj_rows_[level].assign(level, 0);
-    cbj_poison_[level] = 0;
+  // Fresh accumulated conflict set for the new level (see backtrack).
+  const std::size_t level = stack_.size();
+  if (cbj_rows_.size() <= level) {
+    cbj_rows_.resize(level + 1);
+    cbj_poison_.resize(level + 1, 0);
   }
+  cbj_rows_[level].assign(level, 0);
+  cbj_poison_[level] = 0;
   engine_.assign(node, try_set);
   return true;
 }
 
 bool TdgenSearch::choose_decision() {
-  const bool vsids = options_.learn && options_.vsids;
+  const bool vsids = !saved_phase_.empty();  // learn && vsids
   // 1. Extend the fault-effect path: a node that could still become a
   // carrier, is not one yet, and has a definite-carrier input. The cone is
   // pre-sorted nearest-observation-first; under --learn the EVSIDS node
@@ -482,42 +476,22 @@ bool TdgenSearch::choose_decision() {
   return push_decision(best, try_set);
 }
 
-bool TdgenSearch::backtrack(const std::vector<std::uint8_t>* involved) {
+bool TdgenSearch::backtrack(bool analyzed) {
   ++backtracks_;
   if (backtracks_ > options_.backtrack_limit) {
     aborted_ = true;
     return false;
   }
-  if (!options_.learn) {
-    // Chronological walk, no conflict-set accounting — the pre-learning
-    // search byte for byte.
-    while (!stack_.empty()) {
-      Decision& d = stack_.back();
-      engine_.backtrack_level();
-      if (d.rest != kEmptySet) {
-        const VSet rest = d.rest;
-        d.rest = kEmptySet;
-        engine_.assign(d.node, rest);
-        return true;
-      }
-      engine_.pop_level();
-      stack_.pop_back();
-    }
-    return false;
-  }
   // Conflict-directed walk (Prosser-style CBJ over set-splitting
   // decisions). The current failure is summarized as the set of decision
   // levels its derivation rests on; `poison` stands for "unknown cause"
-  // (carrier-blocked, dead-leaf, and resume backtracks carry no analysis)
-  // and behaves as "all levels". Each level accumulates the causes of
-  // every failure that bounced off it, so when the level exhausts, that
-  // union becomes the failure cause handed further down the stack.
-  bool poison = involved == nullptr;
-  if (!poison) {
-    cbj_cur_.assign(stack_.size() + 1, 0);
-    const std::size_t n = std::min(cbj_cur_.size(), involved->size());
-    std::copy(involved->begin(), involved->begin() + n, cbj_cur_.begin());
-  }
+  // (carrier-blocked, dead-leaf, resume and --learn off backtracks carry
+  // no analysis) and behaves as "all levels", so a poisoned walk skips no
+  // level and flips the deepest untried rest. Each level accumulates the
+  // causes of every failure that bounced off it, so when the level
+  // exhausts, that union becomes the failure cause handed further down
+  // the stack.
+  bool poison = !analyzed;
   while (!stack_.empty()) {
     const std::size_t level = stack_.size();
     Decision& d = stack_.back();
@@ -546,7 +520,7 @@ bool TdgenSearch::backtrack(const std::vector<std::uint8_t>* involved) {
     if (d.rest != kEmptySet) {
       const VSet rest = d.rest;
       d.rest = kEmptySet;
-      if (options_.vsids) {
+      if (!saved_phase_.empty()) {
         saved_phase_[d.node] = rest;  // the flip is the branch now taken
       }
       engine_.assign(d.node, rest);
@@ -563,20 +537,6 @@ bool TdgenSearch::backtrack(const std::vector<std::uint8_t>* involved) {
     stack_.pop_back();
   }
   return false;
-}
-
-bool TdgenSearch::conflict_backtrack() {
-  if (engine_.depth() == 0 || !engine_.analyze(&analysis_)) {
-    return backtrack();
-  }
-
-  involved_levels_.assign(stack_.size() + 1, 0);
-  for (const std::uint32_t lvl : analysis_.levels) {
-    if (lvl < involved_levels_.size()) {
-      involved_levels_[lvl] = 1;
-    }
-  }
-  return backtrack(&involved_levels_);
 }
 
 TdgenStatus TdgenSearch::exhausted_status() const {
@@ -614,12 +574,11 @@ TdgenStatus TdgenSearch::next(LocalTest* out) {
       }
     }
     if (engine_.conflict() || !carrier_possible_at_observation()) {
-      // Only engine conflicts carry a trail to analyze; a merely blocked
-      // carrier path backtracks chronologically as before.
-      const bool resumed = engine_.conflict() && options_.learn
-                               ? conflict_backtrack()
-                               : backtrack();
-      if (!resumed) {
+      // Only engine conflicts carry a trail to analyze, and only --learn
+      // analyzes them; a merely blocked carrier path backtracks unanalyzed.
+      const bool analyzed = engine_.conflict() && options_.learn &&
+                            engine_.analyze(&cbj_cur_);
+      if (!backtrack(analyzed)) {
         return exhausted_status();
       }
       continue;

@@ -95,10 +95,10 @@ class TdgenSearch;
 struct TdgenOptions {
   int backtrack_limit = 100;  ///< paper §6
   /// Conflict-driven mode: analyze every engine conflict into the
-  /// decision levels it rests on and backjump non-chronologically past the
-  /// others, order decisions by EVSIDS (see vsids), and memoize successful
-  /// verification probes. Off reproduces the chronological search
-  /// byte-for-byte.
+  /// decision levels it rests on, so the backtrack walk jumps past the
+  /// others, and order decisions by EVSIDS (see vsids). Off leaves every
+  /// backtrack unanalyzed, which walks exactly chronologically: the
+  /// chronological search byte-for-byte.
   bool learn = true;
   // kept for perfbench; drop at the next benchmark change
   int learned_limit = 512;  ///< read by nothing
@@ -181,16 +181,15 @@ class TdgenSearch {
     std::vector<alg::NodeId> observed;
   };
 
-  /// Chronological backtrack, or — when `involved` names the decision
-  /// levels a just-analyzed conflict rests on — conflict-directed
-  /// backjumping: levels not in the failure's cause are discarded untried
-  /// (their subtrees re-derive the failure, hence are solution-free).
-  /// Exhausted levels hand the union of the causes accumulated against
-  /// them further down; a backtrack without analysis (nullptr) poisons
-  /// the levels it crosses, pinning the walk below them to chronological.
-  bool backtrack(const std::vector<std::uint8_t>* involved = nullptr);
-  /// Analyzes the current engine conflict and backjumps on its levels.
-  bool conflict_backtrack();
+  /// Conflict-directed backjumping (CBJ). With `analyzed`, cbj_cur_
+  /// holds the decision levels a just-analyzed conflict rests on, and
+  /// levels not in the failure's cause are discarded untried (their
+  /// subtrees re-derive the failure, hence are solution-free). Exhausted
+  /// levels hand the union of the causes accumulated against them further
+  /// down; an unanalyzed backtrack poisons the levels it crosses, pinning
+  /// the walk below them to chronological — so a search that never
+  /// analyzes walks exactly chronologically.
+  bool backtrack(bool analyzed = false);
   bool choose_decision();
   bool push_decision(alg::NodeId node, alg::VSet try_set);
   bool carrier_possible_at_observation() const;
@@ -235,10 +234,10 @@ class TdgenSearch {
   /// check_stimulus inputs that already failed (the check is deterministic,
   /// so they fail forever) — mostly hit by the don't-care lifting probes.
   mutable std::unordered_set<std::string> failed_checks_;
-  /// Successful probe outcomes by source key (--learn only): the check is
-  /// a pure function of the sources, so a repeat returns the cached
-  /// outcome instead of resimulating. Byte-equivalent either way —
-  /// rerun_sources replays against any cached base state exactly.
+  /// Successful probe outcomes by source key: the check is a pure function
+  /// of the sources, so a repeat returns the cached outcome instead of
+  /// resimulating. Byte-equivalent either way — rerun_sources replays
+  /// against any cached base state exactly.
   mutable std::unordered_map<std::string, CheckOutcome> success_checks_;
   /// The cone-scoped probe cache. probe_base_ holds node sets settled
   /// under the last probe's *raw* sources (pre register-fixpoint): a new
@@ -252,19 +251,20 @@ class TdgenSearch {
   mutable std::vector<alg::VSet> probe_sets_;
   mutable bool probe_ready_ = false;
   mutable SearchCounters probe_counters_;
-  /// Conflict-analysis scratch reused across conflicts.
-  Analysis analysis_;
-  std::vector<std::uint8_t> involved_levels_;
   /// Per decision level: the union of the conflict sets of every failure
-  /// that bounced off that level (CBJ accounting, --learn only).
+  /// that bounced off that level (CBJ accounting, see backtrack).
   /// cbj_rows_[k][l] != 0 marks level l < k as involved; cbj_poison_[k]
   /// means some failure there had no analysis ("involves everything").
   std::vector<std::vector<std::uint8_t>> cbj_rows_;
   std::vector<std::uint8_t> cbj_poison_;
+  /// The walk's current failure cause, 1-based level flags; a conflict
+  /// analysis writes it directly.
   std::vector<std::uint8_t> cbj_cur_;
-  /// Last branched-to value set per node (phase saving, --learn only):
-  /// primary splits retry the phase that survived deepest before falling
-  /// back to the static vset_first choice. 0 = no phase saved.
+  /// Last branched-to value set per node (phase saving): primary splits
+  /// retry the phase that survived deepest before falling back to the
+  /// static vset_first choice. 0 = no phase saved. Sized only when
+  /// `learn` and `vsids` are both set, and then the activity order is on
+  /// too; empty otherwise.
   std::vector<alg::VSet> saved_phase_;
   long backjump_levels_skipped_ = 0;
   bool primed_ = false;

@@ -2,6 +2,10 @@
 // TDgen search correctness rests on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "base/rng.hpp"
 #include "circuits/embedded.hpp"
 #include "netlist/builder.hpp"
@@ -72,10 +76,10 @@ TEST_F(C17Engine, RollbackRestoresExactState) {
   for (NodeId id = 0; id < model_.node_count(); ++id) {
     before[id] = engine_.get(id);
   }
-  const std::size_t mark = engine_.mark();
+  engine_.push_level();
   ASSERT_TRUE(engine_.assign(fault_.site, alg::vset_of(V8::RiseC)));
   ASSERT_TRUE(engine_.assign(model_.pis()[0], alg::vset_of(V8::Zero)));
-  engine_.rollback(mark);
+  engine_.pop_level();
   EXPECT_FALSE(engine_.conflict());
   for (NodeId id = 0; id < model_.node_count(); ++id) {
     EXPECT_EQ(engine_.get(id), before[id]) << "node " << id;
@@ -95,12 +99,12 @@ TEST_F(C17Engine, ConflictOnContradictoryAssignments) {
 }
 
 TEST_F(C17Engine, ConflictClearsOnRollback) {
-  const std::size_t mark = engine_.mark();
+  engine_.push_level();
   engine_.assign(model_.head_of(nl_.find("N3")), alg::vset_of(V8::Zero));
   engine_.assign(model_.head_of(nl_.find("N6")), alg::vset_of(V8::Zero));
   engine_.assign(fault_.site, alg::vset_of(V8::RiseC));
   EXPECT_TRUE(engine_.conflict());
-  engine_.rollback(mark);
+  engine_.pop_level();
   EXPECT_FALSE(engine_.conflict());
   EXPECT_TRUE(engine_.assign(fault_.site, alg::vset_of(V8::RiseC)));
 }
@@ -377,12 +381,12 @@ TEST(SiteOnBranch, BranchFaultIndependentOfStem) {
   EXPECT_EQ(stem, alg::vset_of(V8::Rise));
 }
 
-TEST(ConflictAnalysis, LearnedNogoodsReplayToConflictUnderFullFixpoint) {
-  // Soundness of analyze(): the decision literals it extracts from a
-  // conflict form a nogood — replaying just those constraints on a fresh
-  // engine running the exhaustive reference schedule (GDF_FULL_FIXPOINT's
-  // code path) must re-derive a conflict at fixpoint. Random decision
-  // scripts over c17 faults provide the conflicts.
+TEST(ConflictAnalysis, AnalyzedLevelsReplayToConflictUnderFullFixpoint) {
+  // Soundness of analyze(): the decision levels it names carry a nogood —
+  // replaying just those levels' assignments on a fresh engine running
+  // the exhaustive reference schedule (GDF_FULL_FIXPOINT's code path)
+  // must re-derive a conflict at fixpoint. Random decision scripts over
+  // c17 faults provide the conflicts; each level holds one script step.
   const net::Netlist nl = net::expand_fanout_branches(circuits::make_c17());
   const AtpgModel model(nl);
   int analyzed = 0;
@@ -395,32 +399,37 @@ TEST(ConflictAnalysis, LearnedNogoodsReplayToConflictUnderFullFixpoint) {
       if (engine.conflict()) {
         continue;
       }
-      Analysis analysis;
+      std::vector<std::pair<NodeId, VSet>> steps;  // steps[l - 1] = level l
+      std::vector<std::uint8_t> levels;
       for (int step = 0; step < 10; ++step) {
         const NodeId n =
             static_cast<NodeId>(rng.next_in(0, model.node_count() - 1));
         const VSet allowed = static_cast<VSet>(rng.next_in(1, 255));
+        steps.emplace_back(n, allowed);
         engine.push_level();
         if (engine.assign(n, allowed)) {
           continue;
         }
-        if (!engine.analyze(&analysis)) {
+        if (!engine.analyze(&levels)) {
           break;
         }
         ++analyzed;
-        // Replay the literals alone on the exhaustive schedule.
+        ASSERT_EQ(levels.size(), steps.size() + 1);
+        EXPECT_EQ(levels[0], 0);
+        // Replay the named levels' steps alone on the exhaustive schedule.
         ImplicationEngine replay(model, robust_algebra(), true);
         replay.init(spec);
         ASSERT_FALSE(replay.conflict());
         replay.push_level();
-        for (const NogoodLit& lit : analysis.lits) {
-          if (!replay.assign(lit.node, lit.allowed)) {
+        for (std::size_t l = 1; l < levels.size(); ++l) {
+          if (levels[l] != 0 &&
+              !replay.assign(steps[l - 1].first, steps[l - 1].second)) {
             break;
           }
         }
         EXPECT_TRUE(replay.conflict())
-            << "nogood from site " << site << " trial " << trial
-            << " does not re-derive its conflict";
+            << "levels named from site " << site << " trial " << trial
+            << " do not re-derive their conflict";
         break;
       }
     }

@@ -1,5 +1,5 @@
 // The run/ layer: reentrant sessions over a shared CircuitContext, the
-// work-stealing pool, fault-ordering policies, and the parallel sweep
+// thread pool, fault-ordering policies, and the parallel sweep
 // orchestrator's deterministic canonical-order emission.
 #include <gtest/gtest.h>
 
@@ -261,13 +261,12 @@ TEST(ThreadPoolTest, GroupWaitWakesOnEachCompletion) {
   EXPECT_FALSE(sibling_gave_up);
 }
 
-TEST(ShardConfigTest, ParseRoundTrips) {
+TEST(ShardConfigTest, ParsesPolicies) {
   EXPECT_EQ(parse_shard_faults("off").policy, ShardConfig::Policy::Off);
   EXPECT_EQ(parse_shard_faults("auto").policy, ShardConfig::Policy::Auto);
   const ShardConfig forced = parse_shard_faults("6");
   EXPECT_EQ(forced.policy, ShardConfig::Policy::Forced);
   EXPECT_EQ(forced.workers, 6u);
-  EXPECT_EQ(shard_faults_name(forced), "6");
   EXPECT_THROW(parse_shard_faults("0"), Error);
   EXPECT_THROW(parse_shard_faults("many"), Error);
 }
@@ -634,15 +633,12 @@ TEST(SweepOrchestratorTest, ErrorsSurfaceOnTheCallingThread) {
   EXPECT_THROW(run_sweep(spec, [](const SweepRow&) {}), Error);
 }
 
-TEST(ErrorPolicyTest, ParseAndNameRoundTrip) {
+TEST(ErrorPolicyTest, ParsesPolicies) {
   EXPECT_EQ(parse_on_error("abort").mode, ErrorPolicy::Mode::Abort);
   EXPECT_EQ(parse_on_error("skip").mode, ErrorPolicy::Mode::Skip);
   const ErrorPolicy retry = parse_on_error("retry:3");
   EXPECT_EQ(retry.mode, ErrorPolicy::Mode::Retry);
   EXPECT_EQ(retry.retries, 3);
-  EXPECT_EQ(on_error_name(parse_on_error("abort")), "abort");
-  EXPECT_EQ(on_error_name(parse_on_error("skip")), "skip");
-  EXPECT_EQ(on_error_name(retry), "retry:3");
   EXPECT_THROW(parse_on_error("retry:0"), Error);
   EXPECT_THROW(parse_on_error("retry:"), Error);
   EXPECT_THROW(parse_on_error("ignore"), Error);

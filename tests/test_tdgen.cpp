@@ -304,25 +304,54 @@ TEST(ConflictDrivenSearch, BackjumpOnlyConvertsAborts) {
 
 TEST(ConflictDrivenSearch, ProbeMemoMatchesResimulation) {
   // Enumerating several tests per fault revisits leaves whose source
-  // vectors repeat, so the success memo answers some probes from cache —
-  // and the enumerated tests must still match the memo-free chronological
-  // search exactly.
+  // vectors repeat, so both modes answer some verification probes from
+  // the success memo. Every enumerated test must still be exactly what a
+  // fresh two-frame simulation of its own stimulus yields, and the CBJ
+  // search (static decision order, see above) must still enumerate the
+  // chronological search's tests.
   const net::Netlist nl =
       net::expand_fanout_branches(circuits::load_circuit("s208"));
   const AtpgModel model(nl);
-  SearchCounters tally;
+  const alg::TwoFrameSim sim(model, robust_algebra());
+  const auto expect_resimulates = [&](const DelayFault& f,
+                                      const LocalTest& t, int round) {
+    const alg::FaultSpec spec{model.head_of(f.line), f.slow_to_rise};
+    std::vector<VSet> sets;
+    sim.run({t.pi_sets, t.ppi_sets}, &spec, sets);
+    std::vector<VSet> ppo_sets;
+    for (std::size_t k = 0; k < model.ppis().size(); ++k) {
+      ppo_sets.push_back(sets[model.ppo_node(k)]);
+    }
+    std::vector<alg::NodeId> observed;
+    for (const alg::NodeId obs : model.observation_points()) {
+      if (sets[obs] != alg::kEmptySet && (sets[obs] & ~kCarrierSet) == 0) {
+        observed.push_back(obs);
+      }
+    }
+    EXPECT_EQ(t.ppo_sets, ppo_sets) << fault_name(nl, f) << " round " << round;
+    EXPECT_EQ(t.observed, observed) << fault_name(nl, f) << " round " << round;
+  };
+  SearchCounters tally_off;
+  SearchCounters tally_on;
   for (const DelayFault& f : enumerate_faults(nl)) {
     TdgenOptions off;
     off.learn = false;
+    off.tally = &tally_off;
     TdgenSearch chrono(model, robust_algebra(), f, off);
     TdgenOptions on;
     on.vsids = false;  // keep the chronological decision order (see above)
-    on.tally = &tally;
-    TdgenSearch memo(model, robust_algebra(), f, on);
+    on.tally = &tally_on;
+    TdgenSearch cbj(model, robust_algebra(), f, on);
     for (int round = 0; round < 4; ++round) {
       LocalTest t_off, t_on;
       const TdgenStatus s_off = chrono.next(&t_off);
-      const TdgenStatus s_on = memo.next(&t_on);
+      const TdgenStatus s_on = cbj.next(&t_on);
+      if (s_off == TdgenStatus::TestFound) {
+        expect_resimulates(f, t_off, round);
+      }
+      if (s_on == TdgenStatus::TestFound) {
+        expect_resimulates(f, t_on, round);
+      }
       if (s_off == TdgenStatus::Aborted) {
         break;  // beyond an abort the searches may diverge
       }
@@ -336,7 +365,9 @@ TEST(ConflictDrivenSearch, ProbeMemoMatchesResimulation) {
           << fault_name(nl, f) << " round " << round;
     }
   }
-  EXPECT_GT(tally.probe_memo_hits, 0);
+  // Both searches must actually have answered probes from the memo.
+  EXPECT_GT(tally_off.probe_memo_hits, 0);
+  EXPECT_GT(tally_on.probe_memo_hits, 0);
 }
 
 TEST(ConflictDrivenSearch, LocalVerdictsAgreeAtLargeLimit) {
