@@ -12,6 +12,7 @@
 // is freely loadable and directly observable), so this harness appends it
 // per circuit after the sweep.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "circuits/catalog.hpp"
@@ -68,9 +69,13 @@ int enhanced_scan_testable(const gdf::net::Netlist& nl) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<std::string> names =
+      argc > 1 ? std::vector<std::string>(argv + 1, argv + argc)
+               : std::vector<std::string>{"s27", "s298", "s386"};
   gdf::run::SweepSpec spec;
-  spec.circuits =
-      gdf::run::catalog_sources(argc, argv, {"s27", "s298", "s386"});
+  for (const std::string& name : names) {
+    spec.circuits.push_back(gdf::run::CircuitSource::catalog(name));
+  }
   spec.modes = {gdf::alg::Mode::Robust, gdf::alg::Mode::NonRobust};
 
   std::printf("Ablation A1 — fault model strength (paper §7 outlook)\n");

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "circuits/embedded.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
 
 namespace {
 
@@ -41,11 +41,11 @@ int main() {
   std::printf("Figure 2 — the time frame model on generated s27 tests\n"
               "(slow ... slow | slow V1 | FAST V2 | slow ...)\n\n");
   const gdf::net::Netlist nl = gdf::circuits::make_s27();
-  const gdf::core::FogbusterResult result = gdf::core::run_delay_atpg(nl);
+  gdf::core::Fogbuster flow(nl);
+  const gdf::core::FogbusterResult result = flow.run();
 
   // Show one PO-observed test and one that needs propagation frames.
   bool shown_po = false, shown_ppo = false;
-  const gdf::core::Fogbuster flow(nl);
   const gdf::net::Netlist& expanded = flow.working_netlist();
   for (const gdf::core::TestSequence& t : result.tests) {
     if (t.observed_at_po && !shown_po) {

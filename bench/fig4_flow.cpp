@@ -6,7 +6,8 @@
 #include <cstdio>
 
 #include "circuits/catalog.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/report.hpp"
 
 int main(int argc, char** argv) {
   const std::vector<std::string> circuits =
@@ -15,7 +16,7 @@ int main(int argc, char** argv) {
   std::printf("Figure 4 — extended FOGBUSTER stage outcomes\n\n");
   for (const std::string& name : circuits) {
     const gdf::net::Netlist circuit = gdf::circuits::load_circuit(name);
-    const gdf::core::FogbusterResult r = gdf::core::run_delay_atpg(circuit);
+    const gdf::core::FogbusterResult r = gdf::core::Fogbuster(circuit).run();
     std::printf("%s: tested %d, untestable %d, aborted %d\n", name.c_str(),
                 r.tested(), r.untestable(), r.aborted());
     std::printf("%s\n\n",

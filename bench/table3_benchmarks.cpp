@@ -12,7 +12,8 @@
 
 #include "circuits/catalog.hpp"
 #include "circuits/profiles.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/report.hpp"
 
 int main(int argc, char** argv) {
   std::vector<std::string> only(argv + 1, argv + argc);
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
     const gdf::net::Netlist circuit =
         gdf::circuits::load_circuit(profile.name);
     const gdf::core::FogbusterResult result =
-        gdf::core::run_delay_atpg(circuit);
+        gdf::core::Fogbuster(circuit).run();
     std::printf("%s\n",
                 gdf::core::format_table3_row(
                     gdf::core::make_table3_row(profile.name, result))

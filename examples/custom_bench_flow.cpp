@@ -6,7 +6,8 @@
 #include <cstdio>
 
 #include "base/error.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/report.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/stats.hpp"
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     options.local.backtrack_limit = 500;       // more patient than the
     options.sequential.backtrack_limit = 500;  // paper's 100/100 default
     const gdf::core::FogbusterResult result =
-        gdf::core::run_delay_atpg(circuit, options);
+        gdf::core::Fogbuster(circuit, options).run();
 
     std::printf("%s\n%s\n\n", gdf::core::table3_header().c_str(),
                 gdf::core::format_table3_row(

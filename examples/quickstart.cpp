@@ -6,7 +6,8 @@
 #include <cstdio>
 
 #include "circuits/embedded.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/report.hpp"
 
 int main() {
   // 1. Get a circuit. s27 ships verbatim; load_circuit() also knows the
@@ -16,8 +17,8 @@ int main() {
 
   // 2. Run the combined TDgen + SEMILET flow with the paper's defaults
   //    (robust fault model, 100/100 backtrack limits, fault dropping).
-  const gdf::core::FogbusterResult result =
-      gdf::core::run_delay_atpg(circuit);
+  gdf::core::Fogbuster flow(circuit);
+  const gdf::core::FogbusterResult result = flow.run();
 
   // 3. Summarize — the same columns as Table 3 of the paper.
   std::printf("%s\n%s\n\n", gdf::core::table3_header().c_str(),
@@ -28,9 +29,7 @@ int main() {
   // 4. Inspect one generated test sequence.
   if (!result.tests.empty()) {
     const gdf::core::TestSequence& t = result.tests.front();
-    // Fault line ids refer to the fanout-expanded netlist the flow works
-    // on (expansion is deterministic).
-    const gdf::core::Fogbuster flow(circuit);
+    // Fault line ids refer to the fanout-expanded netlist the flow works on.
     const gdf::net::Netlist& expanded = flow.working_netlist();
     std::printf("first explicit test targets %s:\n",
                 gdf::tdgen::fault_name(expanded, t.target).c_str());

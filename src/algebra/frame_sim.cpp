@@ -268,7 +268,7 @@ std::uint64_t TwoFrameSim::forced_sweep(std::span<const VSet> baseline,
       const unsigned lane = static_cast<unsigned>(__builtin_ctzll(d));
       d &= d - 1;
       const VSet s = packed_get(obs, lane);
-      if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
+      if (vset_carrier_only(s)) {
         mask |= std::uint64_t{1} << lane;
       }
     }
@@ -321,7 +321,7 @@ bool TwoFrameSim::guaranteed_observation(const TwoFrameStimulus& stimulus,
   bool observed = false;
   for (const NodeId obs : model_->observation_points()) {
     const VSet s = node_sets[obs];
-    if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
+    if (vset_carrier_only(s)) {
       observed = true;
       if (where != nullptr) {
         where->push_back(obs);

@@ -185,29 +185,21 @@ VSet DelayAlgebra::site_transform_pre(VSet transformed, bool slow_to_rise) {
   return pre;
 }
 
-std::shared_ptr<const DelayAlgebra> shared_algebra(Mode mode) {
-  // One genuinely shared instance per mode, built lazily and thread-safely
-  // on first request; handles really co-own the tables.
-  if (mode == Mode::Robust) {
-    static const std::shared_ptr<const DelayAlgebra> instance =
-        std::make_shared<const DelayAlgebra>(Mode::Robust);
-    return instance;
-  }
-  static const std::shared_ptr<const DelayAlgebra> instance =
-      std::make_shared<const DelayAlgebra>(Mode::NonRobust);
-  return instance;
-}
-
-const DelayAlgebra& robust_algebra() {
-  return *shared_algebra(Mode::Robust);
-}
+const DelayAlgebra& robust_algebra() { return algebra_for(Mode::Robust); }
 
 const DelayAlgebra& nonrobust_algebra() {
-  return *shared_algebra(Mode::NonRobust);
+  return algebra_for(Mode::NonRobust);
 }
 
 const DelayAlgebra& algebra_for(Mode mode) {
-  return *shared_algebra(mode);
+  // One instance per mode for the life of the process, built lazily and
+  // thread-safely on first request.
+  if (mode == Mode::Robust) {
+    static const DelayAlgebra robust(Mode::Robust);
+    return robust;
+  }
+  static const DelayAlgebra nonrobust(Mode::NonRobust);
+  return nonrobust;
 }
 
 }  // namespace gdf::alg

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 
 #include "algebra/value8.hpp"
 #include "algebra/value_set.hpp"
@@ -84,16 +83,11 @@ class DelayAlgebra {
   std::array<std::array<std::array<VSet, 256>, 256>, 3> bwd_;
 };
 
-/// Shared immutable instances (the tables are pure data). References into
-/// the same per-mode instances shared_algebra() owns.
+/// The process-wide memoized tables (pure data): one immutable instance
+/// per mode, built lazily and thread-safely on first request and shared
+/// by every engine in the process.
 const DelayAlgebra& robust_algebra();
 const DelayAlgebra& nonrobust_algebra();
 const DelayAlgebra& algebra_for(Mode mode);
-
-/// Shared-ownership handle on the process-wide memoized tables: one
-/// instance per mode, built lazily on first request. CircuitContext holds
-/// one so every session on a context reads (and co-owns) the same tables
-/// instead of materializing its own.
-std::shared_ptr<const DelayAlgebra> shared_algebra(Mode mode);
 
 }  // namespace gdf::alg

@@ -33,6 +33,12 @@ inline constexpr VSet kCarrierSet =
 /// Values without a fault effect.
 inline constexpr VSet kCleanSet = static_cast<VSet>(~kCarrierSet & 0xFF);
 
+/// The test-found criterion above: a non-empty set of carriers only, so
+/// the line surely shows the fault effect.
+inline constexpr bool vset_carrier_only(VSet s) {
+  return s != kEmptySet && (s & ~kCarrierSet) == 0;
+}
+
 inline bool vset_contains(VSet s, V8 v) { return (s & vset_of(v)) != 0; }
 inline bool vset_is_singleton(VSet s) { return s != 0 && (s & (s - 1)) == 0; }
 inline int vset_size(VSet s) { return __builtin_popcount(s); }

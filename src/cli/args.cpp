@@ -71,6 +71,11 @@ bool parse_sites(const std::string& flag, const std::string& text) {
 
 DriverConfig parse_args(int argc, const char* const* argv) {
   DriverConfig config;
+  run::SweepSpec& spec = config.spec;
+  spec.shard.policy = run::ShardConfig::Policy::Auto;
+  std::vector<std::string> names;        // --circuit, in flag order
+  std::vector<std::string> bench_files;  // --bench, in flag order
+  bool all = false;
   auto value_of = [&](int& i, const std::string& flag) -> std::string {
     check(i + 1 < argc, flag + " requires a value");
     return argv[++i];
@@ -80,95 +85,87 @@ DriverConfig parse_args(int argc, const char* const* argv) {
     if (arg == "-h" || arg == "--help") {
       config.help = true;
     } else if (arg == "--circuit" || arg == "-c") {
-      config.circuits.push_back(value_of(i, arg));
+      names.push_back(value_of(i, arg));
     } else if (arg == "--bench" || arg == "-b") {
-      config.bench_files.push_back(value_of(i, arg));
+      bench_files.push_back(value_of(i, arg));
     } else if (arg == "--all") {
-      config.all = true;
+      all = true;
     } else if (arg == "--list") {
       config.list_only = true;
     } else if (arg == "--csv") {
       config.csv = true;
     } else if (arg == "--stages") {
       config.stage_stats = true;
-    } else if (arg == "--non-robust") {
-      config.atpg.mode = alg::Mode::NonRobust;
-    } else if (arg == "--local-backtracks") {
-      config.atpg.local.backtrack_limit = parse_int(arg, value_of(i, arg));
-    } else if (arg == "--seq-backtracks") {
-      config.atpg.sequential.backtrack_limit =
-          parse_int(arg, value_of(i, arg));
     } else if (arg == "--learn") {
-      config.atpg.learn = parse_on_off(arg, value_of(i, arg))
-                              ? core::LearnMode::On
-                              : core::LearnMode::Off;
+      spec.base.learn = parse_on_off(arg, value_of(i, arg))
+                            ? core::LearnMode::On
+                            : core::LearnMode::Off;
     } else if (arg == "--fault-budget") {
       const int budget = parse_int(arg, value_of(i, arg));
       check(budget > 0, "--fault-budget expects a positive assignment count");
-      config.atpg.fault_budget = budget;
+      spec.base.fault_budget = budget;
     } else if (arg == "--on-error") {
-      config.on_error = run::parse_on_error(value_of(i, arg));
+      spec.on_error = run::parse_on_error(value_of(i, arg));
     } else if (arg == "--journal") {
       config.journal = value_of(i, arg);
       check(!config.journal.empty(), "--journal expects a file path");
     } else if (arg == "--resume") {
       config.resume = true;
-    } else if (arg == "--seed") {
-      config.atpg.fill_seed = parse_u64(arg, value_of(i, arg));
-    } else if (arg == "--no-fault-dropping") {
-      config.atpg.fault_dropping = false;
-    } else if (arg == "--no-branch-faults") {
-      config.atpg.fault_sites.include_branches = false;
-      config.atpg.expand_branches = false;
     } else if (arg == "--jobs" || arg == "-j") {
       const std::string text = value_of(i, arg);
       const std::uint64_t jobs = parse_u64(arg, text);
       check(jobs <= run::ThreadPool::kMaxThreads,
             arg + " value out of range (at most " +
                 std::to_string(run::ThreadPool::kMaxThreads) + "): " + text);
-      config.jobs = static_cast<unsigned>(jobs);
+      spec.jobs = static_cast<unsigned>(jobs);
     } else if (arg == "--shard-faults") {
-      config.shard = run::parse_shard_faults(value_of(i, arg));
+      spec.shard = run::parse_shard_faults(value_of(i, arg));
     } else if (arg == "--bench-dir") {
-      config.bench_dir = value_of(i, arg);
+      spec.bench_dir = value_of(i, arg);
     } else if (arg == "--no-seconds") {
-      config.no_seconds = true;
+      spec.include_seconds = false;
     } else if (arg == "--fault-order") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.fault_orders.push_back(run::parse_fault_order(part));
+        spec.orders.push_back(run::parse_fault_order(part));
       }
     } else if (arg == "--modes") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.modes.push_back(parse_mode(arg, part));
+        spec.modes.push_back(parse_mode(arg, part));
       }
     } else if (arg == "--seeds") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.seeds.push_back(parse_u64(arg, part));
+        spec.seeds.push_back(parse_u64(arg, part));
       }
     } else if (arg == "--backtracks") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.backtrack_limits.push_back(parse_int(arg, part));
+        spec.backtrack_limits.push_back(parse_int(arg, part));
       }
     } else if (arg == "--dropping") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.fault_dropping.push_back(parse_on_off(arg, part));
+        spec.fault_dropping.push_back(parse_on_off(arg, part));
       }
     } else if (arg == "--fault-sites") {
       for (const std::string& part : parse_list(arg, value_of(i, arg))) {
-        config.full_sites.push_back(parse_sites(arg, part));
+        spec.full_sites.push_back(parse_sites(arg, part));
       }
     } else {
       throw Error("unknown option '" + arg + "' (see gdf_atpg --help)");
     }
   }
-  check(!(config.all && !config.circuits.empty()),
+  check(!(all && !names.empty()),
         "--all and --circuit are mutually exclusive");
-  check(config.help || config.list_only || config.all ||
-            !config.circuits.empty() || !config.bench_files.empty(),
+  check(config.help || config.list_only || all || !names.empty() ||
+            !bench_files.empty(),
         "nothing to do: pass --circuit NAME, --bench FILE, --all, or "
         "--list (see gdf_atpg --help)");
-  check(config.help || config.list_only ||
-            sweep_spec(config).cells_per_circuit() == 1 || config.csv,
+  for (const std::string& name : all ? circuits::catalog_names() : names) {
+    spec.circuits.push_back(run::CircuitSource::catalog(name));
+  }
+  for (const std::string& path : bench_files) {
+    spec.circuits.push_back(run::CircuitSource::file(path));
+  }
+  check(config.help || config.list_only || spec.cells_per_circuit() == 1 ||
+            config.csv,
         "a parameter matrix (multi-valued --modes/--fault-order/--seeds/"
         "--backtracks/--dropping/--fault-sites) produces CSV; pass --csv");
   check(!config.resume || !config.journal.empty(),
@@ -177,31 +174,6 @@ DriverConfig parse_args(int argc, const char* const* argv) {
         "--journal does not combine with --stages (stage counters are not "
         "journaled, so a resumed run could not replay them)");
   return config;
-}
-
-run::SweepSpec sweep_spec(const DriverConfig& config) {
-  run::SweepSpec spec;
-  const std::vector<std::string> names =
-      config.all ? circuits::catalog_names() : config.circuits;
-  for (const std::string& name : names) {
-    spec.circuits.push_back(run::CircuitSource::catalog(name));
-  }
-  for (const std::string& path : config.bench_files) {
-    spec.circuits.push_back(run::CircuitSource::file(path));
-  }
-  spec.base = config.atpg;
-  spec.bench_dir = config.bench_dir;
-  spec.modes = config.modes;
-  spec.orders = config.fault_orders;
-  spec.seeds = config.seeds;
-  spec.backtrack_limits = config.backtrack_limits;
-  spec.fault_dropping = config.fault_dropping;
-  spec.full_sites = config.full_sites;
-  spec.jobs = config.jobs;
-  spec.include_seconds = !config.no_seconds;
-  spec.shard = config.shard;
-  spec.on_error = config.on_error;
-  return spec;
 }
 
 std::string usage() {
@@ -234,20 +206,22 @@ std::string usage() {
       "                          most 1024 [auto]; bytes are independent\n"
       "                          of P\n"
       "\n"
-      "parameter matrices (comma-separated lists; the cross product runs\n"
-      "per circuit and adds config columns to the CSV — requires --csv):\n"
-      "      --modes LIST        robust,nonrobust\n"
+      "parameter axes (comma-separated lists; one value sets the knob,\n"
+      "several make a matrix whose cross product runs per circuit and\n"
+      "adds config columns to the CSV — requires --csv; defaults = paper\n"
+      "setup):\n"
+      "      --modes LIST        robust,nonrobust                [robust]\n"
       "      --fault-order LIST  targeting order: static,random,adi\n"
       "                          (adi = accidental-detection-index pass)\n"
-      "      --seeds LIST        X-fill seeds\n"
-      "      --backtracks LIST   local+sequential abort limits\n"
-      "      --dropping LIST     fault dropping: on,off\n"
-      "      --fault-sites LIST  full (stems+branches), stems\n"
+      "                                                          [static]\n"
+      "      --seeds LIST        X-fill seeds                      [1995]\n"
+      "      --backtracks LIST   TDgen and SEMILET abort limits     [100]\n"
+      "      --dropping LIST     fault dropping via fault simulation:\n"
+      "                          on,off                              [on]\n"
+      "      --fault-sites LIST  full (gate outputs + fanout branches),\n"
+      "                          stems (gate outputs only)         [full]\n"
       "\n"
-      "flow configuration (defaults = paper setup):\n"
-      "      --non-robust        non-robust algebra (§7 outlook / ablation)\n"
-      "      --local-backtracks N   TDgen abort limit        [100]\n"
-      "      --seq-backtracks N     SEMILET abort limit      [100]\n"
+      "flow configuration:\n"
       "      --fault-budget N    deterministic work cap per fault, counted\n"
       "                          in implication-engine assignments: the\n"
       "                          fault aborts once the search spends N\n"
@@ -258,9 +232,6 @@ std::string usage() {
       "                          the activity decision order; default) or\n"
       "                          'off' (chronological search, static\n"
       "                          decision order)\n"
-      "      --seed N            RNG seed for X-fill         [1995]\n"
-      "      --no-fault-dropping disable dropping via fault simulation\n"
-      "      --no-branch-faults  gate outputs only, no fanout branches\n"
       "\n"
       "robust execution:\n"
       "      --on-error POLICY   what a failing cell does: 'abort' (fail\n"

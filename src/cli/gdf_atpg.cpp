@@ -4,7 +4,7 @@
 //   gdf_atpg --all --csv --jobs 4      sweep the catalog on 4 workers
 //   gdf_atpg --bench s344.bench        a real ISCAS'89 netlist from disk
 //   gdf_atpg --all --csv --backtracks 10,100,1000   a parameter matrix
-//   gdf_atpg --circuit s298 --non-robust --seq-backtracks 500 --stages
+//   gdf_atpg --circuit s298 --modes nonrobust --backtracks 500 --stages
 //   gdf_atpg --all --csv --no-seconds --journal run.j   (kill; then)
 //   gdf_atpg --all --csv --no-seconds --journal run.j --resume
 //
@@ -55,7 +55,7 @@ int run(const DriverConfig& config) {
     return 0;
   }
 
-  run::SweepSpec spec = sweep_spec(config);
+  run::SweepSpec spec = config.spec;
   spec.cancel = &g_cancel;
   spec.base.cancel = &g_cancel;
   std::signal(SIGINT, handle_stop_signal);

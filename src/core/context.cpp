@@ -22,19 +22,6 @@ std::shared_ptr<const CircuitContext> CircuitContext::build(
       new CircuitContext(circuit, options));
 }
 
-const alg::DelayAlgebra& CircuitContext::algebra(alg::Mode mode) const {
-  if (mode == alg::Mode::Robust) {
-    std::call_once(robust_once_, [this] {
-      robust_algebra_ = alg::shared_algebra(alg::Mode::Robust);
-    });
-    return *robust_algebra_;
-  }
-  std::call_once(nonrobust_once_, [this] {
-    nonrobust_algebra_ = alg::shared_algebra(alg::Mode::NonRobust);
-  });
-  return *nonrobust_algebra_;
-}
-
 bool CircuitContext::structurally_compatible(
     const AtpgOptions& options) const {
   return options.expand_branches == expand_branches_ &&

@@ -4,9 +4,9 @@
 // the (optionally fanout-expanded) working netlist, the decomposed
 // eight-valued model, the flat simulation form, and the canonical fault
 // list. None of it changes after build(), so one context can back any
-// number of concurrent AtpgSessions/Fogbusters — each of those owns its
-// own mutable engines (search state, simulators' scratch, RNG) and shares
-// the context via shared_ptr.
+// number of concurrent Fogbusters — each of those owns its own mutable
+// engines (search state, simulators' scratch, RNG) and shares the context
+// via shared_ptr.
 //
 // Two AtpgOptions produce the same context iff their structural knobs
 // (expand_branches, fault_sites) agree; the per-run knobs (algebra mode,
@@ -15,7 +15,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "algebra/model.hpp"
@@ -48,11 +47,12 @@ class CircuitContext {
   /// every FogbusterResult reports in, whatever the targeting order.
   const std::vector<tdgen::DelayFault>& faults() const { return faults_; }
 
-  /// The memoized set-operator tables, co-owned by the context: built once
-  /// per process and shared by every session on this context instead of
-  /// being materialized per run. Acquired lazily per mode (thread-safe),
-  /// so a robust-only process never builds the non-robust tables.
-  const alg::DelayAlgebra& algebra(alg::Mode mode) const;
+  /// The memoized set-operator tables: the process-wide instance of
+  /// alg::algebra_for, built lazily per mode (thread-safe), so a
+  /// robust-only process never builds the non-robust tables.
+  const alg::DelayAlgebra& algebra(alg::Mode mode) const {
+    return alg::algebra_for(mode);
+  }
 
   /// True when `options` would derive this exact structure.
   bool structurally_compatible(const AtpgOptions& options) const;
@@ -65,10 +65,6 @@ class CircuitContext {
 
   bool expand_branches_;
   tdgen::FaultListOptions fault_sites_;
-  mutable std::once_flag robust_once_;
-  mutable std::once_flag nonrobust_once_;
-  mutable std::shared_ptr<const alg::DelayAlgebra> robust_algebra_;
-  mutable std::shared_ptr<const alg::DelayAlgebra> nonrobust_algebra_;
   net::Netlist nl_;
   alg::AtpgModel model_;  ///< holds a pointer to nl_: address-stable here
   std::shared_ptr<const sim::FlatCircuit> flat_;

@@ -17,6 +17,7 @@
 namespace gdf::core {
 
 using sim::Lv;
+using sim::lv_bit;
 using tdgen::DelayFault;
 using tdgen::LocalTest;
 using tdgen::PpoKind;
@@ -40,16 +41,6 @@ sim::InputVec lv_vector(const std::vector<int>& bits) {
     out.push_back(lv_from_bit(b));
   }
   return out;
-}
-
-int lv_bit(Lv v) {
-  if (v == Lv::Zero) {
-    return 0;
-  }
-  if (v == Lv::One) {
-    return 1;
-  }
-  return -1;
 }
 
 }  // namespace
@@ -91,7 +82,6 @@ bool propagation_works_without_known(
     const sim::SeqSimulator& simulator, const sim::StateVec& boundary,
     const std::vector<std::pair<std::size_t, Lv>>& requirements,
     const std::vector<sim::InputVec>& frames) {
-  const net::Netlist& nl = simulator.netlist();
   sim::StateVec good(boundary.size(), Lv::X);
   sim::StateVec faulty(boundary.size(), Lv::X);
   for (std::size_t k = 0; k < boundary.size(); ++k) {
@@ -107,20 +97,7 @@ bool propagation_works_without_known(
     good[ff] = v;
     faulty[ff] = v;
   }
-  std::vector<Lv> lg, lf;
-  for (const sim::InputVec& pis : frames) {
-    simulator.eval_frame(pis, good, lg);
-    simulator.eval_frame(pis, faulty, lf);
-    for (const net::GateId po : nl.outputs()) {
-      if (sim::is_binary(lg[po]) && sim::is_binary(lf[po]) &&
-          lg[po] != lf[po]) {
-        return true;
-      }
-    }
-    good = simulator.next_state(lg);
-    faulty = simulator.next_state(lf);
-  }
-  return false;
+  return simulator.po_differs(std::move(good), std::move(faulty), frames);
 }
 
 }  // namespace

@@ -5,30 +5,12 @@
 
 namespace gdf::core {
 
-using alg::kCarrierSet;
-using alg::kEmptySet;
 using alg::NodeId;
 using alg::V8;
 using alg::VSet;
+using alg::vset_carrier_only;
 using sim::Lv;
-
-namespace {
-
-int lv_bit(Lv v) {
-  if (v == Lv::Zero) {
-    return 0;
-  }
-  if (v == Lv::One) {
-    return 1;
-  }
-  return -1;
-}
-
-bool carrier_only(VSet s) {
-  return s != kEmptySet && (s & ~kCarrierSet) == 0;
-}
-
-}  // namespace
+using sim::lv_bit;
 
 VerifyReport verify_sequence(const alg::AtpgModel& model,
                              const alg::DelayAlgebra& algebra,
@@ -74,7 +56,7 @@ VerifyReport verify_sequence(const alg::AtpgModel& model,
   frame_sim.run(stimulus, &spec, injected);
 
   for (const NodeId obs : model.observation_points()) {
-    if (model.node(obs).is_po && carrier_only(injected[obs])) {
+    if (model.node(obs).is_po && vset_carrier_only(injected[obs])) {
       return {true, {}};
     }
   }
@@ -107,19 +89,9 @@ VerifyReport verify_sequence(const alg::AtpgModel& model,
     return {false, "fault effect reaches neither a PO nor a definite PPO"};
   }
 
-  std::vector<Lv> good_lines, faulty_lines;
-  for (const sim::InputVec& pis : sequence.prop_frames) {
-    simulator.eval_frame(pis, good, good_lines);
-    simulator.eval_frame(pis, faulty, faulty_lines);
-    for (const net::GateId po : nl.outputs()) {
-      if (sim::is_binary(good_lines[po]) &&
-          sim::is_binary(faulty_lines[po]) &&
-          good_lines[po] != faulty_lines[po]) {
-        return {true, {}};
-      }
-    }
-    good = simulator.next_state(good_lines);
-    faulty = simulator.next_state(faulty_lines);
+  if (simulator.po_differs(std::move(good), std::move(faulty),
+                           sequence.prop_frames)) {
+    return {true, {}};
   }
   return {false, "captured fault effect never reaches a primary output"};
 }

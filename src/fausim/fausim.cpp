@@ -30,14 +30,11 @@ Fausim::GoodTrace Fausim::simulate_good(std::span<const sim::InputVec> frames,
     trace.filled.push_back(std::move(filled));
   }
   trace.states.reserve(frames.size() + 1);
-  trace.lines.reserve(frames.size());
   trace.states.push_back(scalar_.unknown_state());
+  std::vector<Lv> lines;  // one frame's settled values, reused per frame
   for (const sim::InputVec& pis : trace.filled) {
-    // Frames settle directly into the trace's own storage — no staging
-    // buffer to copy out of.
-    trace.lines.emplace_back();
-    scalar_.eval_frame(pis, trace.states.back(), trace.lines.back());
-    trace.states.push_back(scalar_.next_state(trace.lines.back()));
+    scalar_.eval_frame(pis, trace.states.back(), lines);
+    trace.states.push_back(scalar_.next_state(lines));
   }
   scalar_evals_ += static_cast<long>(frames.size()) *
                    static_cast<long>(fc_->body_count());

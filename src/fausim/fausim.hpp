@@ -41,8 +41,6 @@ class Fausim {
     /// states[k] = state entering frame k (states[0] is all-X power-up);
     /// one more entry than frames (the final state).
     std::vector<sim::StateVec> states;
-    /// Settled line values per frame.
-    std::vector<std::vector<sim::Lv>> lines;
   };
 
   /// Phase 1: good-machine simulation from power-up. Deterministic in the

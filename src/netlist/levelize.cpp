@@ -58,50 +58,6 @@ Levelization levelize(const Netlist& nl) {
   return out;
 }
 
-std::vector<GateId> fanout_cone(const Netlist& nl, GateId from) {
-  std::vector<GateId> cone;
-  std::vector<bool> seen(nl.size(), false);
-  std::deque<GateId> work{from};
-  seen[from] = true;
-  while (!work.empty()) {
-    const GateId id = work.front();
-    work.pop_front();
-    cone.push_back(id);
-    for (const GateId reader : nl.gate(id).fanout) {
-      if (nl.gate(reader).type == GateType::Dff) {
-        continue;  // PPO boundary reached
-      }
-      if (!seen[reader]) {
-        seen[reader] = true;
-        work.push_back(reader);
-      }
-    }
-  }
-  return cone;
-}
-
-std::vector<GateId> fanin_cone(const Netlist& nl, GateId to) {
-  std::vector<GateId> cone;
-  std::vector<bool> seen(nl.size(), false);
-  std::deque<GateId> work{to};
-  seen[to] = true;
-  while (!work.empty()) {
-    const GateId id = work.front();
-    work.pop_front();
-    cone.push_back(id);
-    if (is_source(nl.gate(id))) {
-      continue;
-    }
-    for (const GateId driver : nl.gate(id).fanin) {
-      if (!seen[driver]) {
-        seen[driver] = true;
-        work.push_back(driver);
-      }
-    }
-  }
-  return cone;
-}
-
 std::vector<int> distance_to_observation(const Netlist& nl) {
   constexpr int kUnreachable = std::numeric_limits<int>::max() / 2;
   std::vector<int> dist(nl.size(), kUnreachable);

@@ -26,15 +26,6 @@ struct Levelization {
 /// combinational block contains a cycle.
 Levelization levelize(const Netlist& nl);
 
-/// Gates in the transitive fanout cone of `from`, staying inside the
-/// combinational block (DFF gates terminate the walk; they are not
-/// included). The cone includes `from` itself.
-std::vector<GateId> fanout_cone(const Netlist& nl, GateId from);
-
-/// Gates in the transitive fanin cone of `to`, stopping at sources (Input
-/// and Dff gates are included as cone leaves). The cone includes `to`.
-std::vector<GateId> fanin_cone(const Netlist& nl, GateId to);
-
 /// For every gate, the minimum number of combinational gates between it and
 /// an observation point (PO or DFF data pin); used as the propagation
 /// distance heuristic of the ATPG. Unreachable gates get a large sentinel.

@@ -15,9 +15,9 @@
 #include "base/error.hpp"
 #include "base/fault_injection.hpp"
 #include "circuits/catalog.hpp"
+#include "core/fogbuster.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/validate.hpp"
-#include "run/session.hpp"
 #include "run/thread_pool.hpp"
 
 namespace gdf::run {
@@ -115,22 +115,6 @@ CircuitSource CircuitSource::file(std::string path) {
   return source;
 }
 
-std::vector<CircuitSource> catalog_sources(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& defaults) {
-  std::vector<CircuitSource> sources;
-  if (argc > 1) {
-    for (int i = 1; i < argc; ++i) {
-      sources.push_back(CircuitSource::catalog(argv[i]));
-    }
-  } else {
-    for (const std::string& name : defaults) {
-      sources.push_back(CircuitSource::catalog(name));
-    }
-  }
-  return sources;
-}
-
 std::size_t SweepSpec::cells_per_circuit() const {
   return axis_or(modes, base.mode).size() *
          axis_or(orders, FaultOrder::Static).size() *
@@ -172,11 +156,10 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                 job.options.local.backtrack_limit = backtrack;
                 job.options.sequential.backtrack_limit = backtrack;
                 job.options.fault_dropping = dropping;
-                // Mirrors --no-branch-faults: a 'full' cell expands the
-                // fanout branches and enumerates faults on them, a
-                // 'stems' cell does neither — the two site models really
-                // are two different fault populations, whatever the base
-                // configuration says.
+                // A 'full' cell expands the fanout branches and
+                // enumerates faults on them, a 'stems' cell does neither
+                // — the two site models really are two different fault
+                // populations, whatever the base configuration says.
                 job.options.fault_sites.include_branches = full;
                 job.options.expand_branches = full;
                 jobs.push_back(std::move(job));
@@ -409,10 +392,17 @@ SweepStats run_sweep(const SweepSpec& spec,
               }
               fi::fire_stall(job.circuit.label, spec.cancel);
               fi::fire_cell_throw(job.circuit.label);
-              AtpgSession session(slot->context_for(job.options),
-                                  job.options, job.order);
-              const core::FogbusterResult result = session.run(pool,
-                                                               spec.shard);
+              core::Fogbuster flow(slot->context_for(job.options),
+                                   job.options);
+              const std::vector<std::size_t> order =
+                  make_fault_order(*flow.context(), job.order, job.options);
+              const unsigned workers =
+                  shard_workers(spec.shard, pool, order.size());
+              const core::FogbusterResult result =
+                  workers > 1 ? run_sharded(flow, order, pool,
+                                            shard_epoch_size(spec.shard,
+                                                             workers))
+                              : flow.run(order);
               cell.row = std::make_unique<SweepRow>();
               cell.row->job = job;
               cell.row->table =

@@ -4,15 +4,16 @@
 // to fan out (mode × fault order × seed × backtrack limit × dropping ×
 // fault sites — empty axis = "just the base option"). expand() turns that
 // into the canonical job list: circuit-major, then the axes in the order
-// above, each cell a fully resolved AtpgOptions. Every Table-3 row and
-// every bench/ ablation in the repo is one such spec.
+// above, each cell a fully resolved AtpgOptions. Every gdf_atpg
+// invocation is one such spec; a one-value axis sets its knob exactly
+// as setting the base option would.
 //
 // run_sweep() executes the jobs on a thread pool (--jobs N) and
 // hands finished rows to the caller **in canonical order** no matter when
 // they complete: workers publish into an indexed channel and the calling
 // thread emits row i only after rows 0..i-1. Per-job results depend only
-// on that job's options (each job is one AtpgSession with its own RNG and
-// engines; contexts are shared read-only), so a matrix cell's row and
+// on that job's options (each job is one core::Fogbuster with its own RNG
+// and engines; contexts are shared read-only), so a matrix cell's row and
 // stage counters equal those of the same cell swept alone, and the
 // emitted bytes are identical for any worker count — test_determinism
 // pins the rows to committed goldens at several --jobs/--shard-faults
@@ -73,13 +74,6 @@ struct CircuitSource {
   static CircuitSource catalog(std::string catalog_name);
   static CircuitSource file(std::string path);
 };
-
-/// Catalog sources from a harness's argv tail (argv[1..]), or `defaults`
-/// when no names were passed — the shared front door of the bench/
-/// ablation harnesses.
-std::vector<CircuitSource> catalog_sources(
-    int argc, const char* const* argv,
-    const std::vector<std::string>& defaults);
 
 struct SweepSpec {
   std::vector<CircuitSource> circuits;

@@ -24,6 +24,10 @@ inline constexpr int kLvCount = 5;
 std::string_view lv_name(Lv v);
 
 inline bool is_binary(Lv v) { return v == Lv::Zero || v == Lv::One; }
+/// 0 or 1 for a binary value, -1 otherwise.
+inline int lv_bit(Lv v) {
+  return v == Lv::Zero ? 0 : v == Lv::One ? 1 : -1;
+}
 inline bool is_fault_effect(Lv v) { return v == Lv::D || v == Lv::Dbar; }
 
 /// Good-machine component (D -> 1, D' -> 0, else itself).

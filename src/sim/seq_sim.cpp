@@ -96,6 +96,24 @@ std::vector<Lv> SeqSimulator::outputs(std::span<const Lv> line_values) const {
   return pos;
 }
 
+bool SeqSimulator::po_differs(StateVec good, StateVec faulty,
+                              std::span<const InputVec> frames) const {
+  std::vector<Lv> good_lines, faulty_lines;
+  for (const InputVec& pis : frames) {
+    eval_frame(pis, good, good_lines);
+    eval_frame(pis, faulty, faulty_lines);
+    for (const net::GateId po : fc_->outputs()) {
+      if (is_binary(good_lines[po]) && is_binary(faulty_lines[po]) &&
+          good_lines[po] != faulty_lines[po]) {
+        return true;
+      }
+    }
+    good = next_state(good_lines);
+    faulty = next_state(faulty_lines);
+  }
+  return false;
+}
+
 StateVec SeqSimulator::run(std::span<const InputVec> sequence, StateVec state,
                            std::vector<std::vector<Lv>>* po_trace) const {
   std::vector<Lv> line_values;

@@ -73,6 +73,13 @@ class SeqSimulator {
   /// Primary output values from settled line values.
   std::vector<Lv> outputs(std::span<const Lv> line_values) const;
 
+  /// Twin good/faulty replay: simulates `frames` from the good machine's
+  /// state `good` and the faulty machine's state `faulty`, frame by frame,
+  /// and returns true as soon as some PO is binary on both machines and
+  /// differs between them.
+  bool po_differs(StateVec good, StateVec faulty,
+                  std::span<const InputVec> frames) const;
+
   /// Runs a whole input sequence from `state`, returning the final state;
   /// if `po_trace` is given it receives the PO vector of every frame.
   StateVec run(std::span<const InputVec> sequence, StateVec state,

@@ -12,6 +12,7 @@ using alg::Node;
 using alg::NodeId;
 using alg::V8;
 using alg::VSet;
+using alg::vset_carrier_only;
 
 TdgenSearch::TdgenSearch(const alg::AtpgModel& model,
                          const alg::DelayAlgebra& algebra, DelayFault fault,
@@ -122,7 +123,7 @@ bool TdgenSearch::carrier_possible_at_observation() const {
 bool TdgenSearch::engine_claims_observation() const {
   for (const NodeId obs : model_->observation_points()) {
     const VSet s = engine_.get(obs);
-    if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
+    if (vset_carrier_only(s)) {
       return true;
     }
   }
@@ -252,7 +253,7 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   std::vector<NodeId> observed;
   for (const NodeId obs : model_->observation_points()) {
     const VSet s = sim_sets[obs];
-    if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
+    if (vset_carrier_only(s)) {
       observed.push_back(obs);
     }
   }
@@ -426,7 +427,7 @@ bool TdgenSearch::choose_decision() {
         return false;
       }
       const VSet v = engine_.get(input);
-      return v != kEmptySet && (v & ~kCarrierSet) == 0;
+      return vset_carrier_only(v);
     };
     if (!definite_carrier(n.in0) && !definite_carrier(n.in1)) {
       continue;

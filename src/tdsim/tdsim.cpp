@@ -6,12 +6,12 @@
 
 namespace gdf::tdsim {
 
-using alg::kCarrierSet;
 using alg::kEmptySet;
 using alg::Node;
 using alg::NodeId;
 using alg::V8;
 using alg::VSet;
+using alg::vset_carrier_only;
 
 namespace {
 
@@ -22,17 +22,13 @@ bool activated(VSet fault_free_site, bool slow_to_rise) {
          alg::vset_of(slow_to_rise ? V8::Rise : V8::Fall);
 }
 
-bool carrier_only(VSet s) {
-  return s != kEmptySet && (s & ~kCarrierSet) == 0;
-}
-
 }  // namespace
 
 bool Tdsim::credited(const TdsimRequest& request,
                      std::span<const alg::VSet> fault_free,
                      std::span<const alg::VSet> injected) const {
   for (const NodeId obs : model_->observation_points()) {
-    if (model_->node(obs).is_po && carrier_only(injected[obs])) {
+    if (model_->node(obs).is_po && vset_carrier_only(injected[obs])) {
       return true;
     }
   }
@@ -41,7 +37,7 @@ bool Tdsim::credited(const TdsimRequest& request,
       continue;
     }
     const NodeId ppo = model_->ppo_node(k);
-    if (!carrier_only(injected[ppo])) {
+    if (!vset_carrier_only(injected[ppo])) {
       continue;
     }
     // The paper's invalidation trace: the fault must leave every state bit
@@ -132,7 +128,7 @@ std::vector<bool> Tdsim::detect_cpt(
         break;
       }
     }
-    if (!carrier_only(out)) {
+    if (!vset_carrier_only(out)) {
       return false;
     }
     if (alg::vset_contains(out, V8::RiseC) &&
@@ -151,7 +147,7 @@ std::vector<bool> Tdsim::detect_cpt(
   // decided exactly by one untruncated single-lane sweep from the
   // dominator.
   const auto resolve_stop = [&](VSet at_dom, NodeId dom) -> bool {
-    if (at_dom == kEmptySet || (at_dom & ~kCarrierSet) != 0) {
+    if (!vset_carrier_only(at_dom)) {
       return false;
     }
     const bool has_rc = alg::vset_contains(at_dom, V8::RiseC);

@@ -7,7 +7,7 @@
 #include "base/error.hpp"
 #include "circuits/catalog.hpp"
 #include "cli/args.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
 #include "netlist/bench_io.hpp"
 
 namespace gdf::cli {
@@ -22,9 +22,25 @@ DriverConfig parse(std::initializer_list<const char*> args) {
 TEST(ArgsTest, BenchFilesAreCollected) {
   const DriverConfig config =
       parse({"--bench", "a.bench", "-b", "b.bench"});
-  ASSERT_EQ(config.bench_files.size(), 2u);
-  EXPECT_EQ(config.bench_files[0], "a.bench");
-  EXPECT_EQ(config.bench_files[1], "b.bench");
+  ASSERT_EQ(config.spec.circuits.size(), 2u);
+  EXPECT_EQ(config.spec.circuits[0].bench_path, "a.bench");
+  EXPECT_EQ(config.spec.circuits[0].label, "a");
+  EXPECT_EQ(config.spec.circuits[1].bench_path, "b.bench");
+}
+
+// Catalog names (or --all) come first, then --bench files, whatever the
+// flag order.
+TEST(ArgsTest, CatalogCircuitsPrecedeBenchFiles) {
+  const DriverConfig config =
+      parse({"-b", "a.bench", "-c", "s27", "-b", "b.bench", "-c", "c17"});
+  ASSERT_EQ(config.spec.circuits.size(), 4u);
+  EXPECT_EQ(config.spec.circuits[0].name, "s27");
+  EXPECT_EQ(config.spec.circuits[1].name, "c17");
+  EXPECT_EQ(config.spec.circuits[2].bench_path, "a.bench");
+  EXPECT_EQ(config.spec.circuits[3].bench_path, "b.bench");
+  EXPECT_EQ(parse({"--all"}).spec.circuits.size(),
+            circuits::catalog_names().size());
+  EXPECT_THROW(parse({"--all", "-c", "s27"}), Error);
 }
 
 TEST(ArgsTest, BenchAloneIsEnoughToRun) {
@@ -48,21 +64,22 @@ TEST(ArgsTest, UsageMentionsNewFlags) {
 
 TEST(ArgsTest, RobustExecutionFlags) {
   const DriverConfig defaults = parse({"--all"});
-  EXPECT_EQ(defaults.on_error.mode, run::ErrorPolicy::Mode::Abort);
-  EXPECT_EQ(defaults.atpg.fault_budget, 0);
+  EXPECT_EQ(defaults.spec.on_error.mode, run::ErrorPolicy::Mode::Abort);
+  EXPECT_EQ(defaults.spec.base.fault_budget, 0);
   EXPECT_TRUE(defaults.journal.empty());
   EXPECT_FALSE(defaults.resume);
 
   const DriverConfig skip = parse({"--all", "--on-error", "skip"});
-  EXPECT_EQ(skip.on_error.mode, run::ErrorPolicy::Mode::Skip);
+  EXPECT_EQ(skip.spec.on_error.mode, run::ErrorPolicy::Mode::Skip);
   const DriverConfig retry = parse({"--all", "--on-error", "retry:2"});
-  EXPECT_EQ(retry.on_error.mode, run::ErrorPolicy::Mode::Retry);
-  EXPECT_EQ(retry.on_error.retries, 2);
+  EXPECT_EQ(retry.spec.on_error.mode, run::ErrorPolicy::Mode::Retry);
+  EXPECT_EQ(retry.spec.on_error.retries, 2);
   EXPECT_THROW(parse({"--all", "--on-error", "retry:0"}), Error);
   EXPECT_THROW(parse({"--all", "--on-error", "never"}), Error);
 
-  EXPECT_EQ(parse({"--all", "--fault-budget", "5000"}).atpg.fault_budget,
-            5000);
+  EXPECT_EQ(
+      parse({"--all", "--fault-budget", "5000"}).spec.base.fault_budget,
+      5000);
   EXPECT_THROW(parse({"--all", "--fault-budget", "0"}), Error);
 
   const DriverConfig journaled =
@@ -75,18 +92,11 @@ TEST(ArgsTest, RobustExecutionFlags) {
   EXPECT_THROW(parse({"--all", "--journal", "run.j", "--stages"}), Error);
 }
 
-TEST(ArgsTest, RobustFlagsReachTheSweepSpec) {
-  const DriverConfig config = parse(
-      {"--circuit", "s27", "--on-error", "skip", "--journal", "run.j"});
-  const run::SweepSpec spec = sweep_spec(config);
-  EXPECT_EQ(spec.on_error.mode, run::ErrorPolicy::Mode::Skip);
-}
-
 TEST(ArgsTest, LearnModeChoices) {
-  EXPECT_EQ(parse({"--all"}).atpg.learn, core::LearnMode::On);
-  EXPECT_EQ(parse({"--all", "--learn", "on"}).atpg.learn,
+  EXPECT_EQ(parse({"--all"}).spec.base.learn, core::LearnMode::On);
+  EXPECT_EQ(parse({"--all", "--learn", "on"}).spec.base.learn,
             core::LearnMode::On);
-  EXPECT_EQ(parse({"--all", "--learn", "off"}).atpg.learn,
+  EXPECT_EQ(parse({"--all", "--learn", "off"}).spec.base.learn,
             core::LearnMode::Off);
   EXPECT_THROW(parse({"--all", "--learn", "maybe"}), Error);
 }
@@ -105,7 +115,15 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
         std::initializer_list<const char*>{"--all", "--decision-limit",
                                            "5"},
         std::initializer_list<const char*>{"--all", "--learned-limit",
-                                           "64"}}) {
+                                           "64"},
+        std::initializer_list<const char*>{"--all", "--non-robust"},
+        std::initializer_list<const char*>{"--all", "--seed", "7"},
+        std::initializer_list<const char*>{"--all", "--no-fault-dropping"},
+        std::initializer_list<const char*>{"--all", "--no-branch-faults"},
+        std::initializer_list<const char*>{"--all", "--local-backtracks",
+                                           "50"},
+        std::initializer_list<const char*>{"--all", "--seq-backtracks",
+                                           "50"}}) {
     try {
       parse(args);
       ADD_FAILURE() << "accepted " << *(args.begin() + 1);
@@ -116,21 +134,23 @@ TEST(ArgsTest, DeletedModesAreInputErrors) {
 }
 
 TEST(ArgsTest, ShardFlags) {
-  const DriverConfig defaults = parse({"--all"});
-  EXPECT_EQ(defaults.shard.policy, run::ShardConfig::Policy::Auto);
+  // The CLI shards by default; the library's SweepSpec does not.
+  EXPECT_EQ(parse({"--all"}).spec.shard.policy,
+            run::ShardConfig::Policy::Auto);
+  EXPECT_EQ(run::SweepSpec{}.shard.policy, run::ShardConfig::Policy::Off);
 
   const DriverConfig forced = parse({"--all", "--shard-faults", "8"});
-  EXPECT_EQ(forced.shard.policy, run::ShardConfig::Policy::Forced);
-  EXPECT_EQ(forced.shard.workers, 8u);
-  EXPECT_EQ(sweep_spec(forced).shard, forced.shard);
-  EXPECT_EQ(parse({"--all", "--shard-faults", "off"}).shard.policy,
+  EXPECT_EQ(forced.spec.shard.policy, run::ShardConfig::Policy::Forced);
+  EXPECT_EQ(forced.spec.shard.workers, 8u);
+  EXPECT_EQ(parse({"--all", "--shard-faults", "off"}).spec.shard.policy,
             run::ShardConfig::Policy::Off);
 
   EXPECT_THROW(parse({"--all", "--shard-faults", "sideways"}), Error);
   EXPECT_THROW(parse({"--all", "--shard-faults", "0"}), Error);
   // A sweep that can shard starts this many threads, so the bound is
   // checked here and never by starting one.
-  EXPECT_EQ(parse({"--all", "--shard-faults", "1024"}).shard.workers, 1024u);
+  EXPECT_EQ(parse({"--all", "--shard-faults", "1024"}).spec.shard.workers,
+            1024u);
   EXPECT_THROW(parse({"--all", "--shard-faults", "1025"}), Error);
   EXPECT_THROW(run::parse_shard_faults("1025"), Error);
 }
@@ -138,11 +158,10 @@ TEST(ArgsTest, ShardFlags) {
 TEST(ArgsTest, JobsAndBenchDir) {
   const DriverConfig config =
       parse({"--all", "--jobs", "4", "--bench-dir", "/tmp/iscas"});
-  EXPECT_EQ(config.jobs, 4u);
-  EXPECT_EQ(sweep_spec(config).jobs, 4u);
-  EXPECT_EQ(config.bench_dir, "/tmp/iscas");
-  EXPECT_EQ(parse({"--all"}).jobs, 0u);  // 0 = hardware concurrency
-  EXPECT_EQ(parse({"--all", "--jobs", "1024"}).jobs, 1024u);
+  EXPECT_EQ(config.spec.jobs, 4u);
+  EXPECT_EQ(config.spec.bench_dir, "/tmp/iscas");
+  EXPECT_EQ(parse({"--all"}).spec.jobs, 0u);  // 0 = hardware concurrency
+  EXPECT_EQ(parse({"--all", "--jobs", "1024"}).spec.jobs, 1024u);
   EXPECT_THROW(parse({"--all", "--jobs", "1025"}), Error);
   EXPECT_THROW(parse({"--all", "-j", "100000"}), Error);
 }
@@ -152,17 +171,17 @@ TEST(ArgsTest, MatrixAxesAreCommaLists) {
       {"--all", "--csv", "--backtracks", "10,100", "--modes",
        "robust,nonrobust", "--fault-order", "static,adi", "--seeds", "1,2",
        "--dropping", "on,off", "--fault-sites", "full,stems"});
-  EXPECT_EQ(config.backtrack_limits, (std::vector<int>{10, 100}));
-  EXPECT_EQ(config.modes,
-            (std::vector<alg::Mode>{alg::Mode::Robust,
-                                    alg::Mode::NonRobust}));
-  EXPECT_EQ(config.fault_orders,
+  const run::SweepSpec& spec = config.spec;
+  EXPECT_EQ(spec.backtrack_limits, (std::vector<int>{10, 100}));
+  EXPECT_EQ(spec.modes, (std::vector<alg::Mode>{alg::Mode::Robust,
+                                                alg::Mode::NonRobust}));
+  EXPECT_EQ(spec.orders,
             (std::vector<run::FaultOrder>{run::FaultOrder::Static,
                                           run::FaultOrder::Adi}));
-  EXPECT_EQ(config.seeds, (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_EQ(config.fault_dropping, (std::vector<bool>{true, false}));
-  EXPECT_EQ(config.full_sites, (std::vector<bool>{true, false}));
-  EXPECT_EQ(sweep_spec(config).cells_per_circuit(), 64u);
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(spec.fault_dropping, (std::vector<bool>{true, false}));
+  EXPECT_EQ(spec.full_sites, (std::vector<bool>{true, false}));
+  EXPECT_EQ(spec.cells_per_circuit(), 64u);
 }
 
 TEST(ArgsTest, MatrixRequiresCsv) {
@@ -170,6 +189,9 @@ TEST(ArgsTest, MatrixRequiresCsv) {
   EXPECT_NO_THROW(parse({"--all", "--csv", "--backtracks", "10,100"}));
   // A single-valued axis is not a matrix and stays text-table friendly.
   EXPECT_NO_THROW(parse({"--all", "--fault-order", "adi"}));
+  EXPECT_NO_THROW(parse({"--all", "--modes", "nonrobust", "--seeds", "7",
+                         "--backtracks", "50", "--dropping", "off",
+                         "--fault-sites", "stems"}));
 }
 
 TEST(ArgsTest, BadAxisValuesThrow) {
@@ -191,7 +213,7 @@ TEST(BenchFileSmokeTest, WrittenBenchFileLoadsAndRuns) {
   }
   const net::Netlist loaded = net::read_bench_file(path);
   EXPECT_EQ(loaded.size(), original.size());
-  const core::FogbusterResult result = core::run_delay_atpg(loaded);
+  const core::FogbusterResult result = core::Fogbuster(loaded).run();
   EXPECT_GT(result.tested(), 0);
   std::remove(path.c_str());
 }

@@ -9,7 +9,9 @@
 #include "base/rng.hpp"
 #include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/report.hpp"
+#include "core/verify.hpp"
 #include "netlist/fanout.hpp"
 #include "sim/seq_sim.hpp"
 #include "tdsim/tdsim.hpp"
@@ -39,7 +41,7 @@ TEST(TestSequenceTest, FrameAssemblyAndClocks) {
 
 TEST(FogbusterC17, FullyCombinationalCircuitAllTested) {
   const net::Netlist nl = circuits::make_c17();
-  const FogbusterResult result = run_delay_atpg(nl);
+  const FogbusterResult result = Fogbuster(nl).run();
   EXPECT_EQ(result.faults.size(), 34u);
   EXPECT_EQ(result.tested(), 34);
   EXPECT_EQ(result.untestable(), 0);
@@ -56,7 +58,7 @@ class FogbusterS27 : public ::testing::Test {
  protected:
   static const FogbusterResult& result() {
     static const FogbusterResult r = [] {
-      return run_delay_atpg(circuits::make_s27());
+      return Fogbuster(circuits::make_s27()).run();
     }();
     return r;
   }
@@ -99,7 +101,8 @@ TEST_F(FogbusterS27, DroppingReducesTargetedWork) {
 
   AtpgOptions no_drop;
   no_drop.fault_dropping = false;
-  const FogbusterResult full = run_delay_atpg(circuits::make_s27(), no_drop);
+  const FogbusterResult full =
+      Fogbuster(circuits::make_s27(), no_drop).run();
   EXPECT_EQ(full.stages.targeted, static_cast<long>(full.faults.size()));
   EXPECT_GT(full.stages.targeted, r.stages.targeted);
   // Dropping never changes which faults are testable, only who finds them.
@@ -107,7 +110,7 @@ TEST_F(FogbusterS27, DroppingReducesTargetedWork) {
 }
 
 TEST_F(FogbusterS27, Deterministic) {
-  const FogbusterResult again = run_delay_atpg(circuits::make_s27());
+  const FogbusterResult again = Fogbuster(circuits::make_s27()).run();
   EXPECT_EQ(again.tested(), result().tested());
   EXPECT_EQ(again.untestable(), result().untestable());
   EXPECT_EQ(again.aborted(), result().aborted());
@@ -115,7 +118,7 @@ TEST_F(FogbusterS27, Deterministic) {
 }
 
 TEST(FogbusterVerifyRejects, CorruptedSequenceFails) {
-  const FogbusterResult r = run_delay_atpg(circuits::make_s27());
+  const FogbusterResult r = Fogbuster(circuits::make_s27()).run();
   ASSERT_FALSE(r.tests.empty());
   const net::Netlist nl =
       net::expand_fanout_branches(circuits::make_s27());
@@ -164,10 +167,10 @@ TEST(FogbusterSingleFault, KnownPpoFaultNeedsPropagation) {
 
 TEST(FogbusterNonRobust, RelaxedModeTestsAtLeastAsManyFaults) {
   const net::Netlist nl = circuits::make_s27();
-  const FogbusterResult robust = run_delay_atpg(nl);
+  const FogbusterResult robust = Fogbuster(nl).run();
   AtpgOptions opts;
   opts.mode = alg::Mode::NonRobust;
-  const FogbusterResult relaxed = run_delay_atpg(nl, opts);
+  const FogbusterResult relaxed = Fogbuster(nl, opts).run();
   EXPECT_GE(relaxed.tested(), robust.tested());
   EXPECT_LE(relaxed.untestable(), robust.untestable());
 }
@@ -175,7 +178,7 @@ TEST(FogbusterNonRobust, RelaxedModeTestsAtLeastAsManyFaults) {
 TEST(FogbusterOptions, StemOnlyFaultListIsSmaller) {
   AtpgOptions opts;
   opts.fault_sites.include_branches = false;
-  const FogbusterResult r = run_delay_atpg(circuits::make_s27(), opts);
+  const FogbusterResult r = Fogbuster(circuits::make_s27(), opts).run();
   EXPECT_EQ(r.faults.size(), 34u);
 }
 
@@ -336,7 +339,7 @@ TEST(FogbusterOptionsLarge, VerdictsAgreeAcrossSearchOptions) {
 // Every sequential abort is attributed to exactly one cause.
 TEST(FogbusterStages, SequentialAbortCausesSumUp) {
   for (const char* name : {"s298", "s344"}) {
-    const FogbusterResult r = run_delay_atpg(circuits::load_circuit(name));
+    const FogbusterResult r = Fogbuster(circuits::load_circuit(name)).run();
     const StageStats& s = r.stages;
     EXPECT_GT(s.aborted_sequential, 0) << name;
     EXPECT_EQ(s.aborted_propagation + s.aborted_synchronization +

@@ -1,6 +1,6 @@
 // The golden-judged determinism harness. Each entry is a gdf_atpg argument
-// list run in-process through gdf_atpg's own path (cli::parse_args ->
-// cli::sweep_spec -> run::run_sweep) and rendered exactly as
+// list run in-process through gdf_atpg's own path (cli::parse_args fills
+// the run::SweepSpec that run::run_sweep runs) and rendered exactly as
 // `gdf_atpg ... --csv --no-seconds` prints it. The bytes must equal a
 // committed golden CSV, or that golden's header and its rows for the
 // circuits swept; entries list circuits in golden (catalog) order so the
@@ -109,8 +109,8 @@ Sweep run_entry(const Entry& entry) {
   argv.insert(argv.end(), entry.args.begin(), entry.args.end());
   argv.push_back("--csv");
   argv.push_back("--no-seconds");
-  const run::SweepSpec spec = cli::sweep_spec(
-      cli::parse_args(static_cast<int>(argv.size()), argv.data()));
+  const run::SweepSpec spec =
+      cli::parse_args(static_cast<int>(argv.size()), argv.data()).spec;
 
   Sweep sweep;
   run::run_sweep(

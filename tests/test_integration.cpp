@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "circuits/catalog.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
+#include "core/verify.hpp"
 #include "netlist/fanout.hpp"
 #include "semilet/semilet.hpp"
 
@@ -86,12 +87,12 @@ TEST(GeneratedCircuitDropping, DroppedFaultsNeverContradictUntestable) {
   // crediting) — and vice versa, dropping may rescue aborted faults only.
   for (const char* name : {"s298", "s386"}) {
     const net::Netlist circuit = circuits::load_circuit(name);
-    const FogbusterResult with = run_delay_atpg(circuit);
+    Fogbuster flow(circuit);
+    const FogbusterResult with = flow.run();
     AtpgOptions off;
     off.fault_dropping = false;
-    const FogbusterResult without = run_delay_atpg(circuit, off);
+    const FogbusterResult without = Fogbuster(circuit, off).run();
     ASSERT_EQ(with.faults.size(), without.faults.size());
-    const Fogbuster flow(circuit);
     for (std::size_t i = 0; i < with.faults.size(); ++i) {
       if (without.status[i] == FaultStatus::Untestable) {
         EXPECT_NE(with.status[i], FaultStatus::Tested)

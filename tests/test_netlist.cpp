@@ -162,27 +162,6 @@ TEST(LevelizeTest, DffFeedbackIsLegal) {
   EXPECT_NO_THROW(levelize(nl));
 }
 
-TEST(ConeTest, FanoutConeStopsAtDff) {
-  NetlistBuilder b("cone");
-  b.input("a");
-  b.output("y");
-  b.dff("q", "d");
-  b.gate("d", GateType::Not, {"a"});
-  b.gate("y", GateType::And, {"q", "a"});
-  const Netlist nl = b.build();
-  const auto cone = fanout_cone(nl, nl.find("a"));
-  // a reaches d and y but must not cross the register into q.
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("d")), cone.end());
-  EXPECT_NE(std::find(cone.begin(), cone.end(), nl.find("y")), cone.end());
-  EXPECT_EQ(std::find(cone.begin(), cone.end(), nl.find("q")), cone.end());
-}
-
-TEST(ConeTest, FaninConeReachesSources) {
-  const Netlist nl = tiny();
-  const auto cone = fanin_cone(nl, nl.find("y"));
-  EXPECT_EQ(cone.size(), 4u);  // y, n, a, b
-}
-
 TEST(DistanceTest, ObservationDistance) {
   const Netlist nl = tiny();
   const auto dist = distance_to_observation(nl);

@@ -1,4 +1,4 @@
-// The run/ layer: reentrant sessions over a shared CircuitContext, the
+// The run/ layer: reentrant flows over a shared CircuitContext, the
 // thread pool, fault-ordering policies, and the parallel sweep
 // orchestrator's deterministic canonical-order emission.
 #include <gtest/gtest.h>
@@ -20,10 +20,9 @@
 #include "base/fault_injection.hpp"
 #include "circuits/catalog.hpp"
 #include "netlist/bench_io.hpp"
-#include "core/delay_atpg.hpp"
+#include "core/fogbuster.hpp"
 #include "run/fault_order.hpp"
 #include "run/journal.hpp"
-#include "run/session.hpp"
 #include "run/shard.hpp"
 #include "run/sweep.hpp"
 #include "run/thread_pool.hpp"
@@ -76,39 +75,39 @@ TEST(CircuitContextTest, IsSharedAndStructurallyChecked) {
   stems.fault_sites.include_branches = false;
   stems.expand_branches = false;
   EXPECT_FALSE(ctx->structurally_compatible(stems));
-  EXPECT_THROW(AtpgSession(ctx, stems), Error);
+  EXPECT_THROW(core::Fogbuster(ctx, stems), Error);
 }
 
-// Two runs on one session, two sessions on one context, and a fresh
-// standalone run must all be bit-identical — the reentrancy contract.
-TEST(AtpgSessionTest, ReuseMatchesFreshRuns) {
+// Two runs on one flow, two flows on one context, and a flow on a private
+// context must all be bit-identical — the reentrancy contract.
+TEST(FogbusterReentrancyTest, ReuseMatchesFreshRuns) {
   const net::Netlist nl = circuits::load_circuit("s27");
   const auto ctx = core::CircuitContext::build(nl);
 
-  AtpgSession session_a(ctx);
-  const core::FogbusterResult first = session_a.run();
-  const core::FogbusterResult second = session_a.run();
+  core::Fogbuster flow_a(ctx);
+  const core::FogbusterResult first = flow_a.run();
+  const core::FogbusterResult second = flow_a.run();
   expect_same_result(first, second);
 
-  AtpgSession session_b(ctx);
-  expect_same_result(first, session_b.run());
+  core::Fogbuster flow_b(ctx);
+  expect_same_result(first, flow_b.run());
 
-  expect_same_result(first, core::run_delay_atpg(nl));
+  expect_same_result(first, core::Fogbuster(nl).run());
 }
 
-TEST(AtpgSessionTest, NonDefaultOptionsStayPerSession) {
+TEST(FogbusterReentrancyTest, NonDefaultOptionsStayPerFlow) {
   const net::Netlist nl = circuits::load_circuit("s27");
   const auto ctx = core::CircuitContext::build(nl);
 
   core::AtpgOptions no_drop;
   no_drop.fault_dropping = false;
-  AtpgSession dropping(ctx);
-  AtpgSession no_dropping(ctx, no_drop);
+  core::Fogbuster dropping(ctx);
+  core::Fogbuster no_dropping(ctx, no_drop);
   const core::FogbusterResult with = dropping.run();
   const core::FogbusterResult without = no_dropping.run();
   EXPECT_GT(without.stages.targeted, with.stages.targeted);
   EXPECT_EQ(without.stages.dropped, 0);
-  // The shared context is untouched: rerunning the first session still
+  // The shared context is untouched: rerunning the first flow still
   // reproduces its result.
   expect_same_result(with, dropping.run());
 }
@@ -311,8 +310,7 @@ TEST(ShardConfigTest, ForcedWidthOneRunsSequential) {
 TEST(ShardTest, EpochShardingMatchesSequential) {
   const net::Netlist nl = circuits::load_circuit("s298");
   const auto ctx = core::CircuitContext::build(nl);
-  AtpgSession sequential(ctx);
-  const core::FogbusterResult reference = sequential.run();
+  const core::FogbusterResult reference = core::Fogbuster(ctx).run();
   const std::vector<std::size_t> order =
       make_fault_order(*ctx, FaultOrder::Static, {});
 
@@ -336,11 +334,11 @@ TEST(ShardTest, ShardingComposesWithFaultOrders) {
   ThreadPool pool(3);
   for (const FaultOrder order :
        {FaultOrder::Static, FaultOrder::Random, FaultOrder::Adi}) {
-    AtpgSession sequential(ctx, {}, order);
+    const std::vector<std::size_t> targets = make_fault_order(*ctx, order, {});
+    core::Fogbuster sequential(ctx);
     core::Fogbuster flow(ctx);
-    expect_identical_runs(
-        sequential.run(),
-        run_sharded(flow, make_fault_order(*ctx, order, {}), pool, 10));
+    expect_identical_runs(sequential.run(targets),
+                          run_sharded(flow, targets, pool, 10));
   }
 }
 
@@ -363,17 +361,14 @@ TEST(ShardTest, WholeCatalogEquality) {
   options.local.backtrack_limit = 20;
   options.sequential.backtrack_limit = 20;
   ThreadPool pool(4);
-  ShardConfig shard;
-  shard.policy = ShardConfig::Policy::Forced;
-  shard.workers = 4;
   for (const std::string& name : circuits::catalog_names()) {
     const net::Netlist nl = circuits::load_circuit(name);
     const auto ctx = core::CircuitContext::build(nl, options);
-    AtpgSession sequential(ctx, options);
-    AtpgSession sharded(ctx, options);
-    const core::FogbusterResult a = sequential.run();
-    const core::FogbusterResult b = sharded.run(pool, shard);
-    expect_identical_runs(a, b);
+    core::Fogbuster sequential(ctx, options);
+    core::Fogbuster sharded(ctx, options);
+    expect_identical_runs(
+        sequential.run(),
+        run_sharded(sharded, {}, pool, shard_epoch_size({}, 4)));
   }
 }
 
@@ -405,9 +400,8 @@ TEST(ShardTest, CancelMidRunLeavesThePoolUsable) {
   pool.set_cancel_token(nullptr);
   const auto small =
       core::CircuitContext::build(circuits::load_circuit("s298"));
-  AtpgSession sequential(small);
   core::Fogbuster fresh(small);
-  expect_identical_runs(sequential.run(),
+  expect_identical_runs(core::Fogbuster(small).run(),
                         run_sharded(fresh, {}, pool, shard_epoch_size({}, 4)));
 }
 
@@ -443,14 +437,14 @@ TEST(FaultOrderTest, PermutationsAreValidAndDeterministic) {
 
 // Whatever the targeting order, the per-fault classification work is the
 // same — only test count/pattern mix may shift. Sanity: every fault ends
-// classified and the session completes.
+// classified and the run completes.
 TEST(FaultOrderTest, OrderedRunsClassifyEveryFault) {
   const net::Netlist nl = circuits::load_circuit("s27");
   const auto ctx = core::CircuitContext::build(nl);
   for (const FaultOrder order :
        {FaultOrder::Static, FaultOrder::Random, FaultOrder::Adi}) {
-    AtpgSession session(ctx, {}, order);
-    const core::FogbusterResult result = session.run();
+    const core::FogbusterResult result =
+        core::Fogbuster(ctx).run(make_fault_order(*ctx, order, {}));
     EXPECT_EQ(result.status.size(), ctx->faults().size());
     for (const core::FaultStatus s : result.status) {
       EXPECT_NE(s, core::FaultStatus::Untested);
@@ -497,6 +491,70 @@ TEST(SweepSpecTest, SitesAxisOverridesBaseBranchConfig) {
   EXPECT_TRUE(jobs[0].options.expand_branches);
   EXPECT_FALSE(jobs[1].options.fault_sites.include_branches);
   EXPECT_FALSE(jobs[1].options.expand_branches);
+}
+
+// A one-value axis says what the base option says: the two specs expand
+// to the same job options, render the same CSV header and fingerprint the
+// same, so the CLI spells each of these knobs only as an axis.
+TEST(SweepSpecTest, SingleValuedAxisEqualsBaseOption) {
+  SweepSpec plain;
+  plain.circuits = {CircuitSource::catalog("s27"),
+                    CircuitSource::catalog("c17")};
+  const auto expect_same_sweep = [](const SweepSpec& by_base,
+                                    const SweepSpec& by_axis) {
+    EXPECT_EQ(sweep_csv_header(by_base), sweep_csv_header(by_axis));
+    EXPECT_EQ(sweep_fingerprint(by_base, true),
+              sweep_fingerprint(by_axis, true));
+    const std::vector<SweepJob> a = expand(by_base);
+    const std::vector<SweepJob> b = expand(by_axis);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const core::AtpgOptions& x = a[i].options;
+      const core::AtpgOptions& y = b[i].options;
+      EXPECT_EQ(a[i].circuit.label, b[i].circuit.label);
+      EXPECT_EQ(a[i].order, b[i].order);
+      EXPECT_EQ(x.mode, y.mode);
+      EXPECT_EQ(x.fill_seed, y.fill_seed);
+      EXPECT_EQ(x.local.backtrack_limit, y.local.backtrack_limit);
+      EXPECT_EQ(x.sequential.backtrack_limit, y.sequential.backtrack_limit);
+      EXPECT_EQ(x.sequential.max_propagation_frames,
+                y.sequential.max_propagation_frames);
+      EXPECT_EQ(x.sequential.max_sync_frames, y.sequential.max_sync_frames);
+      EXPECT_EQ(x.fault_dropping, y.fault_dropping);
+      EXPECT_EQ(x.fault_sites, y.fault_sites);
+      EXPECT_EQ(x.expand_branches, y.expand_branches);
+      EXPECT_EQ(x.learn, y.learn);
+      EXPECT_EQ(x.fault_budget, y.fault_budget);
+    }
+  };
+
+  SweepSpec by_base = plain;
+  SweepSpec by_axis = plain;
+  by_base.base.mode = alg::Mode::NonRobust;
+  by_axis.modes = {alg::Mode::NonRobust};
+  expect_same_sweep(by_base, by_axis);
+
+  by_base = by_axis = plain;
+  by_base.base.fill_seed = 7;
+  by_axis.seeds = {7};
+  expect_same_sweep(by_base, by_axis);
+
+  by_base = by_axis = plain;
+  by_base.base.local.backtrack_limit = 50;
+  by_base.base.sequential.backtrack_limit = 50;
+  by_axis.backtrack_limits = {50};
+  expect_same_sweep(by_base, by_axis);
+
+  by_base = by_axis = plain;
+  by_base.base.fault_dropping = false;
+  by_axis.fault_dropping = {false};
+  expect_same_sweep(by_base, by_axis);
+
+  by_base = by_axis = plain;
+  by_base.base.fault_sites.include_branches = false;
+  by_base.base.expand_branches = false;
+  by_axis.full_sites = {false};
+  expect_same_sweep(by_base, by_axis);
 }
 
 TEST(SweepSpecTest, SingleCellKeepsLegacyCsvLayout) {
