@@ -165,7 +165,7 @@ bool Fogbuster::try_finalize(const DelayFault& fault, const LocalTest& local,
   sequence.observed_at_po = local.observed_at_po;
 
   const VerifyReport report =
-      verify_sequence(ctx_->model(), *algebra_, sequence);
+      verify_sequence(ctx_->model(), *algebra_, sequence, ctx_->flat());
   if (!report.ok) {
     ++stages->verify_rejections;
     return false;

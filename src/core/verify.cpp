@@ -1,5 +1,7 @@
 #include "core/verify.hpp"
 
+#include <utility>
+
 #include "base/error.hpp"
 #include "sim/seq_sim.hpp"
 
@@ -14,9 +16,12 @@ using sim::lv_bit;
 
 VerifyReport verify_sequence(const alg::AtpgModel& model,
                              const alg::DelayAlgebra& algebra,
-                             const TestSequence& sequence) {
+                             const TestSequence& sequence,
+                             std::shared_ptr<const sim::FlatCircuit> flat) {
   const net::Netlist& nl = model.netlist();
-  sim::SeqSimulator simulator(nl);
+  GDF_ASSERT(&flat->netlist() == &nl,
+             "verify_sequence: flat form of another netlist");
+  const sim::SeqSimulator simulator(std::move(flat));
 
   // 1. Synchronization replay from the all-X power-up state.
   sim::StateVec s0 = simulator.unknown_state();
@@ -94,6 +99,13 @@ VerifyReport verify_sequence(const alg::AtpgModel& model,
     return {true, {}};
   }
   return {false, "captured fault effect never reaches a primary output"};
+}
+
+VerifyReport verify_sequence(const alg::AtpgModel& model,
+                             const alg::DelayAlgebra& algebra,
+                             const TestSequence& sequence) {
+  return verify_sequence(model, algebra, sequence,
+                         sim::FlatCircuit::build(model.netlist()));
 }
 
 }  // namespace gdf::core

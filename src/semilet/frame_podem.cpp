@@ -50,6 +50,38 @@ FramePodem::FramePodem(const sim::SeqSimulator& sim, Budget& budget,
              : request_.base_pis;
   GDF_ASSERT(pis_.size() == nl_->inputs().size(), "base PI size mismatch");
   state_ = request_.in_state;
+  if (request_.mode != PodemMode::ObserveFault) {
+    return;
+  }
+  // Decisions assign only 0/1, so D/D' can appear only downstream of the
+  // entering boundary's fault effects and of the injection site: the lines
+  // collect_effects() has to look at, fixed for this search's life.
+  const sim::FlatCircuit& fc = *sim.flat();
+  std::vector<std::uint8_t> reached(nl_->size(), 0);
+  const auto reach = [&](GateId line) {
+    if (reached[line] == 0) {
+      reached[line] = 1;
+      effect_cone_.push_back(line);
+    }
+  };
+  for (std::size_t i = 0; i < pis_.size(); ++i) {
+    if (sim::is_fault_effect(pis_[i])) {
+      reach(nl_->inputs()[i]);
+    }
+  }
+  for (std::size_t k = 0; k < state_.size(); ++k) {
+    if (sim::is_fault_effect(state_[k])) {
+      reach(nl_->dffs()[k]);
+    }
+  }
+  if (request_.injection.active()) {
+    reach(request_.injection.line);
+  }
+  for (std::size_t head = 0; head < effect_cone_.size(); ++head) {
+    for (const std::uint32_t b : fc.readers(effect_cone_[head])) {
+      reach(fc.body_out()[b]);
+    }
+  }
 }
 
 void FramePodem::simulate() {
@@ -59,6 +91,7 @@ void FramePodem::simulate() {
     sim_->eval_frame(pis_, state_, lines_, injection);
     lines_ready_ = true;
     changed_sources_.clear();
+    collect_effects();
     return;
   }
   if (changed_sources_.empty()) {
@@ -89,16 +122,17 @@ void FramePodem::simulate() {
   changed_sources_.clear();
   if (any) {
     sim_->resettle_frame(lines_, work_, injection);
+    collect_effects();
   }
 }
 
-bool FramePodem::any_fault_effect() const {
-  for (const Lv v : lines_) {
-    if (sim::is_fault_effect(v)) {
-      return true;
+void FramePodem::collect_effects() {
+  effects_.clear();
+  for (const GateId id : effect_cone_) {
+    if (sim::is_fault_effect(lines_[id])) {
+      effects_.push_back(id);
     }
   }
-  return false;
 }
 
 bool FramePodem::success() const {
@@ -123,8 +157,8 @@ bool FramePodem::success() const {
   if (request_.require_po) {
     return false;
   }
-  for (const GateId dff : nl_->dffs()) {
-    if (sim::is_fault_effect(lines_[nl_->gate(dff).fanin[0]])) {
+  for (const GateId ppo : sim_->flat()->dff_data()) {
+    if (sim::is_fault_effect(lines_[ppo])) {
       return true;
     }
   }
@@ -146,10 +180,18 @@ bool FramePodem::hopeless() const {
     return false;
   }
   // ObserveFault: X-path check — some D/D' line must reach an observation
-  // point through X-valued lines. Scratch buffers are members and the
-  // visited set is epoch-stamped: this runs every search iteration, and
-  // re-zeroing the whole vector would cost O(circuit) per call while the
-  // walk itself usually touches a handful of lines.
+  // point through X-valued lines, walked over the flat circuit's reader
+  // CSR from the settled frame's fault-effect lines. Scratch buffers are
+  // members and the visited set is epoch-stamped: this runs every search
+  // iteration, and re-zeroing the whole vector would cost O(circuit) per
+  // call while the walk itself usually touches a handful of lines.
+  if (effects_.empty()) {
+    if (request_.activation_line != net::kNoGate &&
+        lines_[request_.activation_line] == Lv::X) {
+      return false;  // the fault could still be activated in this frame
+    }
+    return true;  // the fault effect died (or cannot appear) in this frame
+  }
   if (seen_.size() != nl_->size()) {
     seen_.assign(nl_->size(), 0);
     seen_epoch_ = 0;
@@ -158,31 +200,22 @@ bool FramePodem::hopeless() const {
     std::fill(seen_.begin(), seen_.end(), 0);
     seen_epoch_ = 1;
   }
-  bfs_.clear();
-  for (GateId id = 0; id < nl_->size(); ++id) {
-    if (sim::is_fault_effect(lines_[id])) {
-      bfs_.push_back(id);
-      seen_[id] = seen_epoch_;
-    }
-  }
-  if (bfs_.empty()) {
-    if (request_.activation_line != net::kNoGate &&
-        lines_[request_.activation_line] == Lv::X) {
-      return false;  // the fault could still be activated in this frame
-    }
-    return true;  // the fault effect died (or cannot appear) in this frame
+  const sim::FlatCircuit& fc = *sim_->flat();
+  const std::span<const GateId> body_out = fc.body_out();
+  const std::span<const int> obs_distance = fc.obs_distance();
+  bfs_.assign(effects_.begin(), effects_.end());
+  for (const GateId id : bfs_) {
+    seen_[id] = seen_epoch_;
   }
   for (std::size_t head = 0; head < bfs_.size(); ++head) {
     const GateId id = bfs_[head];
-    if (nl_->is_po(id)) {
+    // Observation distance 0 marks exactly the POs and the DFF data pins.
+    if (obs_distance[id] == 0 && (!request_.require_po || nl_->is_po(id))) {
       return false;
     }
-    if (!request_.require_po && nl_->feeds_dff(id)) {
-      return false;
-    }
-    for (const GateId reader : nl_->gate(id).fanout) {
-      if (seen_[reader] == seen_epoch_ ||
-          nl_->gate(reader).type == GateType::Dff) {
+    for (const std::uint32_t b : fc.readers(id)) {
+      const GateId reader = body_out[b];
+      if (seen_[reader] == seen_epoch_) {
         continue;
       }
       const Lv v = lines_[reader];
@@ -207,7 +240,7 @@ bool FramePodem::choose_objective(GateId* line, Lv* value) const {
     return false;
   }
   // No fault effect yet: work on activation first (stuck-at use).
-  if (request_.activation_line != net::kNoGate && !any_fault_effect()) {
+  if (request_.activation_line != net::kNoGate && effects_.empty()) {
     if (lines_[request_.activation_line] == Lv::X) {
       *line = request_.activation_line;
       *value = request_.activation_value;
@@ -215,31 +248,24 @@ bool FramePodem::choose_objective(GateId* line, Lv* value) const {
     }
     return false;
   }
-  // D-frontier: gate with X output and a fault effect on an input; pick the
-  // one closest to an observation point, then set one X input to the
-  // non-controlling (sensitizing) value.
-  const std::span<const int> obs_distance = sim_->flat()->obs_distance();
+  // D-frontier: gate with X output and a fault effect on an input, read
+  // off the fault-effect lines' readers; pick the one closest to an
+  // observation point, the lowest gate id among equals, then set one X
+  // input to the non-controlling (sensitizing) value.
+  const sim::FlatCircuit& fc = *sim_->flat();
+  const std::span<const GateId> body_out = fc.body_out();
+  const std::span<const int> obs_distance = fc.obs_distance();
   GateId best = net::kNoGate;
-  for (GateId id = 0; id < nl_->size(); ++id) {
-    const net::Gate& g = nl_->gate(id);
-    if (g.type == GateType::Input || g.type == GateType::Dff) {
-      continue;
-    }
-    if (lines_[id] != Lv::X) {
-      continue;
-    }
-    bool has_effect = false;
-    for (const GateId driver : g.fanin) {
-      if (sim::is_fault_effect(lines_[driver])) {
-        has_effect = true;
-        break;
+  for (const GateId effect : effects_) {
+    for (const std::uint32_t b : fc.readers(effect)) {
+      const GateId id = body_out[b];
+      if (lines_[id] != Lv::X) {
+        continue;
       }
-    }
-    if (!has_effect) {
-      continue;
-    }
-    if (best == net::kNoGate || obs_distance[id] < obs_distance[best]) {
-      best = id;
+      if (best == net::kNoGate || obs_distance[id] < obs_distance[best] ||
+          (obs_distance[id] == obs_distance[best] && id < best)) {
+        best = id;
+      }
     }
   }
   if (best == net::kNoGate) {
@@ -402,8 +428,8 @@ void FramePodem::fill_solution(FrameSolution* out) const {
       out->po_hit = true;
     }
   }
-  for (const GateId dff : nl_->dffs()) {
-    if (sim::is_fault_effect(lines_[nl_->gate(dff).fanin[0]])) {
+  for (const GateId ppo : sim_->flat()->dff_data()) {
+    if (sim::is_fault_effect(lines_[ppo])) {
       out->ppo_hit = true;
     }
   }

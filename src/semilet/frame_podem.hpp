@@ -75,7 +75,7 @@ class FramePodem {
   };
 
   void simulate();
-  bool any_fault_effect() const;
+  void collect_effects();
   bool success() const;
   bool hopeless() const;
   bool choose_objective(net::GateId* line, sim::Lv* value) const;
@@ -99,8 +99,19 @@ class FramePodem {
   std::vector<std::pair<bool, std::size_t>> changed_sources_;
   sim::BitQueue work_;
   bool lines_ready_ = false;
-  /// Reused X-path scratch (hopeless() runs every search iteration).
-  /// seen_ is epoch-stamped so a call costs O(reached), not O(circuit).
+  /// ObserveFault: the lines that can carry D/D' in this frame (the
+  /// fanout cone of the entering PI and state fault effects and of the
+  /// injection site); empty in JustifyValues mode.
+  std::vector<net::GateId> effect_cone_;
+  /// The settled frame's D/D' lines, refreshed from effect_cone_ whenever
+  /// simulate() resettles. hopeless() starts its X-path walk from them and
+  /// choose_objective() reads the D-frontier off their readers
+  /// (FlatCircuit::readers), so neither walks the netlist's gates per
+  /// search iteration; neither result depends on their order.
+  std::vector<net::GateId> effects_;
+  /// Reused X-path scratch (hopeless() runs every search iteration and
+  /// walks the reader CSR). seen_ is epoch-stamped so a call costs
+  /// O(reached), not O(circuit).
   mutable std::vector<std::uint32_t> seen_;
   mutable std::uint32_t seen_epoch_ = 0;
   mutable std::vector<net::GateId> bfs_;

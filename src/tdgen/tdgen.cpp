@@ -1,6 +1,8 @@
 #include "tdgen/tdgen.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "base/error.hpp"
 
@@ -169,82 +171,92 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
     failed_checks_.insert(std::move(key));
     return false;
   };
+  // The PPI final-frame component is produced by the register from the PPO
+  // values of the initial frame, so it is derived, never assumed: each
+  // PPI's raw set allows every final under its initials, and the register
+  // prune keeps the finals its PPO can take initially. The fixpoint from
+  // the wide side over-approximates every real execution, which makes the
+  // observation check sound for all don't-care fills.
+  //
+  // One prune is the fixpoint: a node's initial-frame members depend only
+  // on its sources' initial members (test_tables pins this), and a prune
+  // that leaves some final keeps the PPI's initials. So the probe seeds
+  // each PPI with the finals the cached state's PPO allows (its raw set
+  // when that is empty) and replays probe_sets_ once; the settled PPO
+  // initials are exact, and only a seed they move costs a second replay.
   alg::TwoFrameStimulus stimulus;
   stimulus.pi_sets = pi_sets;
-  // The PPI final-frame component is produced by the register from the PPO
-  // values of the initial frame, so it is derived, never assumed: starting
-  // with all finals allowed, repeatedly prune each PPI's finals to the
-  // initial values its PPO can take under the current stimulus. The
-  // fixpoint from the wide side over-approximates every real execution,
-  // which makes the observation check sound for all don't-care fills.
-  stimulus.ppi_sets.reserve(model_->ppis().size());
-  for (const unsigned inits : ppi_inits) {
+  const std::span<const NodeId> pis = model_->pis();
+  const std::span<const NodeId> ppis = model_->ppis();
+  // A PPI's raw set by its initials mask: every final under them.
+  std::array<VSet, 4> raw_by_inits;
+  for (unsigned inits = 0; inits < raw_by_inits.size(); ++inits) {
+    raw_by_inits[inits] = alg::vset_with_initial_in(alg::kPrimaryDomain, inits);
+  }
+  const auto raw_ppi = [&](std::size_t k) {
+    return raw_by_inits[ppi_inits[k] & 3u];
+  };
+  const auto ppo_initials = [&](std::size_t k) {
+    return alg::vset_initials(probe_sets_[model_->ppo_node(k)]);
+  };
+  stimulus.ppi_sets.reserve(ppis.size());
+  for (std::size_t k = 0; k < ppis.size(); ++k) {
+    const unsigned cached = probe_ready_ ? ppo_initials(k) : 0;
     stimulus.ppi_sets.push_back(
-        alg::vset_with_initial_in(alg::kPrimaryDomain, inits));
+        cached != 0 ? alg::vset_with_final_in(raw_ppi(k), cached)
+                    : raw_ppi(k));
   }
 
-  // Cone-scoped probe: probe_base_ keeps the previous probe's settled
-  // pre-fixpoint state, so each probe replays only the cones of the
-  // sources that differ from it — rerun_sources is exactly equivalent to
-  // a fresh full pass, which is what the first probe (and only it) runs.
   ++probe_counters_.probe_runs;
-  std::vector<std::pair<NodeId, VSet>> diffs;
-  diffs.reserve(model_->pis().size() + model_->ppis().size());
-  const auto all_sources = [&](std::vector<std::pair<NodeId, VSet>>* out_d) {
-    out_d->clear();
-    for (std::size_t i = 0; i < model_->pis().size(); ++i) {
-      out_d->emplace_back(model_->pis()[i], stimulus.pi_sets[i]);
+  std::vector<std::pair<NodeId, VSet>> sources;
+  sources.reserve(pis.size() + ppis.size());
+  const auto replay = [&] {
+    sources.clear();
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      sources.emplace_back(pis[i], stimulus.pi_sets[i]);
     }
-    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-      out_d->emplace_back(model_->ppis()[k], stimulus.ppi_sets[k]);
+    for (std::size_t k = 0; k < ppis.size(); ++k) {
+      sources.emplace_back(ppis[k], stimulus.ppi_sets[k]);
     }
+    sim_.rerun_sources(sources, &spec_, probe_sets_);
   };
   if (!probe_ready_) {
-    sim_.run(stimulus, &spec_, probe_base_);
-    probe_sets_ = probe_base_;
+    sim_.run(stimulus, &spec_, probe_sets_);
     probe_ready_ = true;
     ++probe_counters_.probe_full;
   } else {
-    all_sources(&diffs);
-    sim_.rerun_sources(diffs, &spec_, probe_base_);
+    replay();
     ++probe_counters_.probe_cone;
   }
 
-  // The register fixpoint: round n prunes each PPI's finals against the
-  // PPO initials of run(S_n), exactly the reference iteration — but both
-  // states evolve incrementally. Round 1 reads the base; as soon as a
-  // prune applies, the pruned source vector is resettled onto the
-  // *persistent* post-fixpoint cache (probe_sets_), whose sources carry
-  // the previous probe's pruned values and therefore barely differ.
-  const std::vector<VSet>* sim_view = &probe_base_;
-  for (;;) {
-    bool pruned_any = false;
-    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-      const VSet ppo = (*sim_view)[model_->ppo_node(k)];
-      const VSet pruned = alg::vset_with_final_in(stimulus.ppi_sets[k],
-                                                  alg::vset_initials(ppo));
-      if (pruned != stimulus.ppi_sets[k]) {
-        stimulus.ppi_sets[k] = pruned;
-        pruned_any = true;
-      }
+  // The register prune from the raw sets against the settled PPO
+  // initials. A second round only confirms the fixpoint; a third would
+  // mean the initials premise above is broken.
+  for (int round = 0;; ++round) {
+    bool moved = false;
+    for (std::size_t k = 0; k < ppis.size(); ++k) {
+      const VSet pruned =
+          alg::vset_with_final_in(raw_ppi(k), ppo_initials(k));
       if (pruned == kEmptySet) {
         return fail();  // no register-consistent execution
       }
+      if (pruned != stimulus.ppi_sets[k]) {
+        stimulus.ppi_sets[k] = pruned;
+        moved = true;
+      }
     }
-    if (!pruned_any) {
+    if (!moved) {
       break;
     }
-    all_sources(&diffs);
-    sim_.rerun_sources(diffs, &spec_, probe_sets_);
-    sim_view = &probe_sets_;
+    GDF_ASSERT(round == 0, "register fixpoint needs a third replay");
+    replay();
   }
-  const std::vector<VSet>& sim_sets = *sim_view;
 
   // Pins must hold for every completion of the unassigned inputs, i.e. in
   // the forward simulation sets, not merely in the engine's constraint
   // store (reconvergence can make the latter optimistic at inner nodes).
   for (const PpoPin& pin : pins_) {
-    const VSet s = sim_sets[model_->ppo_node(pin.dff_index)];
+    const VSet s = probe_sets_[model_->ppo_node(pin.dff_index)];
     if (s == kEmptySet || (s & ~pin.allowed) != 0) {
       return fail();
     }
@@ -252,8 +264,7 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
 
   std::vector<NodeId> observed;
   for (const NodeId obs : model_->observation_points()) {
-    const VSet s = sim_sets[obs];
-    if (vset_carrier_only(s)) {
+    if (vset_carrier_only(probe_sets_[obs])) {
       observed.push_back(obs);
     }
   }
@@ -264,7 +275,7 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   result.stimulus = std::move(stimulus);
   result.ppo_sets.reserve(model_->ppis().size());
   for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-    result.ppo_sets.push_back(sim_sets[model_->ppo_node(k)]);
+    result.ppo_sets.push_back(probe_sets_[model_->ppo_node(k)]);
   }
   result.observed = std::move(observed);
   success_checks_.emplace(std::move(key), result);

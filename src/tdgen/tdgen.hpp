@@ -239,15 +239,14 @@ class TdgenSearch {
   /// resimulating. Byte-equivalent either way — rerun_sources replays
   /// against any cached base state exactly.
   mutable std::unordered_map<std::string, CheckOutcome> success_checks_;
-  /// The cone-scoped probe cache. probe_base_ holds node sets settled
-  /// under the last probe's *raw* sources (pre register-fixpoint): a new
-  /// probe hands its full source vector to rerun_sources, which replays
-  /// only the cones of the sources that actually differ — for the
-  /// don't-care lifting probes that is a single source. The register
-  /// fixpoint then prunes on a copy (probe_sets_) so the base never
-  /// churns through prune/unprune cycles. Exactly equivalent to a fresh
-  /// full pass per probe.
-  mutable std::vector<alg::VSet> probe_base_;
+  /// The cone-scoped probe cache: node sets settled under the sources
+  /// the last probe replayed. A new probe seeds its PPI finals from this
+  /// state's PPO initials and hands its full source vector to
+  /// rerun_sources, which replays only the cones of the sources that
+  /// actually differ — for the don't-care lifting probes usually a single
+  /// source. The seeds are the fixpoint unless that replay moves some PPO's
+  /// initials, and then one more replay is (see check_stimulus). Exactly
+  /// equivalent to a fresh full pass per probe.
   mutable std::vector<alg::VSet> probe_sets_;
   mutable bool probe_ready_ = false;
   mutable SearchCounters probe_counters_;

@@ -6,8 +6,8 @@
 // circuits swept; entries list circuits in golden (catalog) order so the
 // kept rows line up.
 //
-// Behaviour entries (default, --learn off, --fault-budget) pin verdicts to
-// their golden. Invariance entries vary only what must not move the bytes
+// Behaviour entries (default, --learn off, --fault-budget, --modes
+// nonrobust) pin verdicts to their golden. Invariance entries vary only what must not move the bytes
 // (--jobs, --shard-faults, the implication schedule) and name the golden
 // of the behaviour they vary, so no configuration runs just to produce a
 // reference.
@@ -19,7 +19,8 @@
 //   cli_shard_determinism           Shard/*: the default over the whole
 //                                   catalog, unsharded and sharded
 //   cli_learning_determinism_small  LearningSmall/*: those three points
-//                                   on s27, s298 and c17
+//                                   on s27, s298 and c17, and
+//                                   --modes nonrobust
 //   cli_jobs_determinism            Jobs/*: the worker count alone
 //   cli_shard_determinism_small     ShardSmall/*: sharding alone
 //   cli_budget_determinism          BudgetAxis.*
@@ -57,6 +58,9 @@ constexpr const char* kDefault = "golden_catalog.csv";
 constexpr const char* kLearnOff = "golden_catalog_learn_off.csv";
 // gdf_atpg -c s298 -c s344 --csv --no-seconds --fault-budget 3000
 constexpr const char* kBudget = "golden_budget.csv";
+// gdf_atpg -c s27 -c s298 -c s386 -c c17 --csv --no-seconds
+//     --modes nonrobust
+constexpr const char* kNonRobust = "golden_nonrobust.csv";
 
 struct Entry {
   const char* name;
@@ -170,7 +174,9 @@ INSTANTIATE_TEST_SUITE_P(
               {"--all", "--jobs", "4", "--shard-faults", "4"}}),
     entry_name);
 
-// The whole-catalog points on s27, s298 and c17.
+// The whole-catalog points on s27, s298 and c17, and the non-robust
+// algebra's rows (no whole-catalog scope runs that mode) on s27, s298,
+// s386 and c17, sharded.
 INSTANTIATE_TEST_SUITE_P(
     LearningSmall, Determinism,
     ::testing::Values(
@@ -184,7 +190,12 @@ INSTANTIATE_TEST_SUITE_P(
         Entry{"LearnOff_Jobs3_ShardOff",
               kLearnOff,
               {"-c", "s27", "-c", "s298", "-c", "c17", "--learn", "off",
-               "--jobs", "3", "--shard-faults", "off"}}),
+               "--jobs", "3", "--shard-faults", "off"}},
+        Entry{"NonRobust_Jobs4_Shard4",
+              kNonRobust,
+              {"-c", "s27", "-c", "s298", "-c", "s386", "-c", "c17",
+               "--modes", "nonrobust", "--jobs", "4", "--shard-faults",
+               "4"}}),
     entry_name);
 
 // The worker count alone on s27 and c17 (--jobs 4 shards automatically).

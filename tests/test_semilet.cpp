@@ -2,6 +2,7 @@
 
 #include <latch>
 #include <numeric>
+#include <span>
 #include <thread>
 
 #include "base/rng.hpp"
@@ -132,6 +133,44 @@ TEST(FramePodemObserve, UnassignableStateBlocksBacktrace) {
       EXPECT_EQ(status, PodemStatus::Exhausted);
     }
   }
+}
+
+TEST(FramePodemObserve, FrontierTieGoesToTheLowerGateId) {
+  // The fault effect at flip-flop q reaches two PO gates at observation
+  // distance 0: ya through two buffers and yb directly, with ya's gate id
+  // the lower. A walk over the fault-effect lines' readers meets yb first
+  // (q's own reader), so only the (obs_distance, gate id) order picks ya:
+  // the first solution sets a = 1 and leaves b unassigned.
+  net::NetlistBuilder b("tie");
+  b.input("a");
+  b.input("b");
+  b.output("ya");
+  b.output("yb");
+  b.dff("q", "ya");
+  b.gate("ya", net::GateType::And, {"qd", "a"});
+  b.gate("yb", net::GateType::And, {"q", "b"});
+  b.gate("qb", net::GateType::Buf, {"q"});
+  b.gate("qd", net::GateType::Buf, {"qb"});
+  const net::Netlist nl = b.build();
+  const net::GateId ya = nl.find("ya");
+  const net::GateId yb = nl.find("yb");
+  ASSERT_LT(ya, yb);
+  sim::SeqSimulator simulator(nl);
+  const std::span<const int> obs_distance = simulator.flat()->obs_distance();
+  ASSERT_EQ(obs_distance[ya], obs_distance[yb]);
+
+  Budget budget(roomy());
+  PodemRequest request;
+  request.mode = PodemMode::ObserveFault;
+  request.in_state = {Lv::D};
+  request.assignable_ppi = {false};
+  request.require_po = true;
+  FramePodem podem(simulator, budget, std::move(request));
+  FrameSolution sol;
+  ASSERT_EQ(podem.next(&sol), PodemStatus::Solution);
+  EXPECT_EQ(sol.pis, (InputVec{Lv::One, Lv::X}));
+  EXPECT_TRUE(sim::is_fault_effect(sol.line_values[ya]));
+  EXPECT_EQ(sol.line_values[yb], Lv::X);
 }
 
 TEST(PropagatorTest, OneFramePath) {

@@ -174,6 +174,54 @@ TEST_P(AlgebraModeTest, CarrierOutputsTrackFaultyMachine) {
   }
 }
 
+TEST_P(AlgebraModeTest, SetInitialsDependOnOperandInitialsOnly) {
+  // TDgen's verification probe seeds each PPI's finals from a cached
+  // state and still reads exact PPO initials, because a node's
+  // initial-frame members depend on nothing but its sources' initial
+  // members: over every set pair, each operator's initials are the
+  // Boolean image of the operands' initials, set_not swaps them, and the
+  // fault-site transform keeps them.
+  const DelayAlgebra& a = algebra_for(GetParam());
+  const auto bool_op = [](Op2 op, unsigned x, unsigned y) {
+    return op == Op2::And ? x & y : op == Op2::Or ? x | y : x ^ y;
+  };
+  long mismatches = 0;
+  for (const Op2 op : {Op2::And, Op2::Or, Op2::Xor}) {
+    for (int sa = 0; sa <= 0xFF; ++sa) {
+      const unsigned ia = vset_initials(static_cast<VSet>(sa));
+      for (int sb = 0; sb <= 0xFF; ++sb) {
+        const unsigned ib = vset_initials(static_cast<VSet>(sb));
+        unsigned image = 0;
+        for (unsigned x = 0; x < 2; ++x) {
+          for (unsigned y = 0; y < 2; ++y) {
+            if ((ia >> x & 1u) != 0 && (ib >> y & 1u) != 0) {
+              image |= 1u << bool_op(op, x, y);
+            }
+          }
+        }
+        const VSet out = a.set_fwd(op, static_cast<VSet>(sa),
+                                   static_cast<VSet>(sb));
+        if (vset_initials(out) != image && ++mismatches <= 5) {
+          ADD_FAILURE() << "op " << static_cast<int>(op) << " on "
+                        << vset_to_string(static_cast<VSet>(sa)) << ", "
+                        << vset_to_string(static_cast<VSet>(sb));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  for (int s = 0; s <= 0xFF; ++s) {
+    const VSet in = static_cast<VSet>(s);
+    const unsigned inits = vset_initials(in);
+    EXPECT_EQ(vset_initials(a.set_not(in)), (inits & 1u) << 1 | inits >> 1)
+        << vset_to_string(in);
+    for (const bool str : {true, false}) {
+      EXPECT_EQ(vset_initials(DelayAlgebra::site_transform(in, str)), inits)
+          << vset_to_string(in);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, AlgebraModeTest,
                          ::testing::Values(Mode::Robust, Mode::NonRobust),
                          [](const ::testing::TestParamInfo<Mode>& info) {
