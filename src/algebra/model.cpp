@@ -195,7 +195,7 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
     }
   }
 
-  // Reachability masks and immediate dominators toward the observation
+  // Reachability mask and immediate dominators toward the observation
   // sinks, in one reverse-topological pass. The dominator relation is over
   // the fanout DAG extended with a virtual sink T fed by every observation
   // point; kNoNode plays the role of T (conveniently the largest id, so
@@ -203,7 +203,6 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
   // are topological, so when `id` is processed every reader has its final
   // idom.
   obs_reach_.assign(nodes_.size(), 0);
-  po_reach_.assign(nodes_.size(), 0);
   idom_.assign(nodes_.size(), kNoNode);
   const auto intersect = [this](NodeId a, NodeId b) {
     while (a != b) {
@@ -217,7 +216,6 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
   };
   for (NodeId id = static_cast<NodeId>(nodes_.size()); id-- > 0;) {
     bool reach = obs_mask_[id];
-    bool po = nodes_[id].is_po;
     // An observation point's own edge to T pins its idom at T (kNoNode);
     // otherwise start undefined and fold the reachable readers in.
     bool have = reach;
@@ -227,12 +225,10 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
         continue;
       }
       reach = true;
-      po = po || po_reach_[reader] != 0;
       cand = have ? intersect(cand, reader) : reader;
       have = true;
     }
     obs_reach_[id] = reach ? 1 : 0;
-    po_reach_[id] = po ? 1 : 0;
     idom_[id] = reach ? cand : kNoNode;
   }
 

@@ -87,9 +87,6 @@ class AtpgModel {
 
   /// True when some observation point is reachable through `id`'s fanout.
   bool obs_reachable(NodeId id) const { return obs_reach_[id] != 0; }
-  /// True when some primary output is reachable through `id`'s fanout —
-  /// the only observation kind critical path tracing's PO marks can use.
-  bool po_reachable(NodeId id) const { return po_reach_[id] != 0; }
 
   /// Immediate dominator of `id` toward the observation sinks: the unique
   /// nearest node (other than `id`) that every path from `id` to every
@@ -133,7 +130,6 @@ class AtpgModel {
   std::vector<bool> obs_mask_;
   std::vector<int> obs_distance_;
   std::vector<std::uint8_t> obs_reach_;
-  std::vector<std::uint8_t> po_reach_;
   std::vector<NodeId> idom_;
   std::vector<std::uint32_t> role_begin_;
   std::vector<std::uint32_t> role_pool_;

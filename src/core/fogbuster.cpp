@@ -437,8 +437,9 @@ void Fogbuster::apply_test(const TestSequence& sequence,
   }
   // Fault simulation (paper §5): random X fill, good-machine pass,
   // PPO observability over the propagation frames, then the fast-frame
-  // delay fault simulation by critical path tracing. Only the still
-  // untested faults are simulated — detected ones are already dropped.
+  // delay fault simulation, one cone replay per activated fault. Only the
+  // still untested faults are simulated — detected ones are already
+  // dropped.
   const net::Netlist& nl = ctx_->netlist();
   const std::vector<sim::InputVec> frames = sequence.all_frames();
   const fausim::Fausim::GoodTrace trace =
@@ -453,7 +454,7 @@ void Fogbuster::apply_test(const TestSequence& sequence,
       targets.push_back(result->faults[j]);
     }
   }
-  const std::vector<bool> detected = tdsim_.detect_cpt(request, targets);
+  const std::vector<bool> detected = tdsim_.detect(request, targets);
   for (std::size_t t = 0; t < targets.size(); ++t) {
     if (detected[t]) {
       result->status[untested[t]] = FaultStatus::Tested;

@@ -10,8 +10,8 @@
 //     dual-rail passes (sim/parallel3): lane 0 is the good machine, the
 //     other 63 each flip one captured flip-flop bit.
 //
-// Phase 3 (delay-fault critical path tracing inside the fast frame) lives
-// in TDsim.
+// Phase 3 (delay fault simulation of the fast frame's two local frames)
+// lives in TDsim.
 #pragma once
 
 #include <memory>

@@ -52,8 +52,7 @@ std::vector<long> accidental_detection_counts(
     for (std::size_t fast = 1; fast + 1 < kAdiFrames; ++fast) {
       const tdsim::TdsimRequest request =
           core::make_tdsim_request(nl, fausim, trace, fast, {});
-      const std::vector<bool> detected =
-          tdsim.detect_cpt(request, ctx.faults());
+      const std::vector<bool> detected = tdsim.detect(request, ctx.faults());
       for (std::size_t j = 0; j < detected.size(); ++j) {
         counts[j] += detected[j] ? 1 : 0;
       }

@@ -1,7 +1,7 @@
 // Fault-simulation kernel counters, plus the inert lane-width names the
 // benchmark still compiles against. FAUSIM phase 2 runs one 64-lane
-// dual-rail kernel (sim/parallel3) and TDsim packs eight scenarios into
-// one 64-bit word per node; nothing selects a width.
+// dual-rail kernel (sim/parallel3) and TDsim replays one fault at a time;
+// nothing selects a width.
 #pragma once
 
 namespace gdf::sim {

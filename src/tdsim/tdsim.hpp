@@ -8,13 +8,11 @@
 // invalidate a state bit the propagation phase relies on — the paper's
 // separate invalidation trace.
 //
-// Two interchangeable engines:
-//  * detect_exact — per fault: inject the carrier at the site and re-run
-//    the two-frame set simulation (the reference implementation);
-//  * detect_cpt — critical path tracing: polarity-aware robust-propagation
-//    marks composed backward through single-reader chains, with exact cone
-//    re-simulation at fanout stems (the classic CPT stem correction).
-// The two agree exactly; tests assert it.
+// One engine: a fault-free pass over the stimulus, then, per requested
+// fault whose site makes the clean transition, the carrier injected at the
+// site and only the site's fanout cone replayed over that pass. The cost
+// follows the request: a dropping pass asks about the still untested
+// faults only, and that list shrinks as faults are dropped.
 #pragma once
 
 #include <span>
@@ -22,7 +20,6 @@
 
 #include "algebra/frame_sim.hpp"
 #include "algebra/model.hpp"
-#include "base/error.hpp"
 #include "tdgen/fault.hpp"
 
 namespace gdf::tdsim {
@@ -43,32 +40,26 @@ class Tdsim {
   explicit Tdsim(const alg::AtpgModel& model,
                  const alg::DelayAlgebra& algebra,
                  // kept for perfbench; drop at the next benchmark change
-                 unsigned stem_lanes = alg::TwoFrameSim::kPackedLanes)
-      : model_(&model), algebra_(&algebra), sim_(model, algebra) {
-    GDF_ASSERT(stem_lanes == alg::TwoFrameSim::kPackedLanes,
-               "CPT stem sweeps pack exactly one 64-bit word");
-  }
+                 unsigned = 0)
+      : model_(&model), sim_(model, algebra) {}
 
-  /// Reference engine: exact injection per fault.
-  std::vector<bool> detect_exact(
-      const TdsimRequest& request,
-      std::span<const tdgen::DelayFault> faults) const;
+  /// Per fault: whether the request's stimulus detects it robustly.
+  std::vector<bool> detect(const TdsimRequest& request,
+                           std::span<const tdgen::DelayFault> faults) const;
 
-  /// Critical path tracing engine.
+  // kept for perfbench; drop at the next benchmark change
   std::vector<bool> detect_cpt(
       const TdsimRequest& request,
-      std::span<const tdgen::DelayFault> faults) const;
+      std::span<const tdgen::DelayFault> faults) const {
+    return detect(request, faults);
+  }
 
  private:
-  bool detect_one(const TdsimRequest& request,
-                  std::span<const alg::VSet> fault_free,
-                  const tdgen::DelayFault& fault) const;
   bool credited(const TdsimRequest& request,
                 std::span<const alg::VSet> fault_free,
                 std::span<const alg::VSet> injected) const;
 
   const alg::AtpgModel* model_;
-  const alg::DelayAlgebra* algebra_;
   alg::TwoFrameSim sim_;
 };
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -188,10 +187,8 @@ TEST(FogbusterOptions, StemOnlyFaultListIsSmaller) {
 // it at a PO or at any PPO, a robust local test exists and TDgen cannot
 // have proved the fault Untestable. Circuits with at most 12 stimulus
 // bits enumerate every stimulus, the others draw a fixed-seed sample.
-// Returns, per canonical fault, whether some stimulus detects it; every
-// CPT hit on a fault in `judged` is confirmed by the exact engine.
-std::vector<bool> local_oracle(const CircuitContext& ctx,
-                               const std::vector<bool>& judged) {
+// Returns, per canonical fault, whether some stimulus detects it.
+std::vector<bool> local_oracle(const CircuitContext& ctx) {
   constexpr std::uint64_t kSamples = 4000;
   const std::size_t n_pi = ctx.netlist().inputs().size();
   const std::size_t n_ff = ctx.netlist().dffs().size();
@@ -232,19 +229,9 @@ std::vector<bool> local_oracle(const CircuitContext& ctx,
       request.stimulus.ppi_sets.push_back(alg::vset_primary_from_frames(
           bits[2 * n_pi + k], s1[k] == Lv::One ? 1 : 0));
     }
-    const std::vector<bool> hits = tdsim.detect_cpt(request, faults);
+    const std::vector<bool> hits = tdsim.detect(request, faults);
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      if (!hits[f]) {
-        continue;
-      }
-      if (judged[f]) {
-        const std::vector<bool> exact = tdsim.detect_exact(
-            request, std::span<const tdgen::DelayFault>(&faults[f], 1));
-        EXPECT_TRUE(exact[0])
-            << "detect_cpt and detect_exact disagree on "
-            << tdgen::fault_name(ctx.netlist(), faults[f]);
-      }
-      detected[f] = true;
+      detected[f] = detected[f] || hits[f];
     }
   }
   return detected;
@@ -296,7 +283,7 @@ void expect_verdicts_agree(std::initializer_list<const char*> names) {
         << name << ": faults Tested in one configuration and Untestable "
         << "in another";
 
-    const std::vector<bool> detected = local_oracle(*ctx, untestable);
+    const std::vector<bool> detected = local_oracle(*ctx);
     bool oracle_saw_tested = false;
     for (std::size_t f = 0; f < n_faults; ++f) {
       oracle_saw_tested = oracle_saw_tested || (tested[f] && detected[f]);

@@ -7,10 +7,10 @@
 // kept rows line up.
 //
 // Behaviour entries (default, --learn off, --fault-budget, --modes
-// nonrobust) pin verdicts to their golden. Invariance entries vary only what must not move the bytes
-// (--jobs, --shard-faults, the implication schedule) and name the golden
-// of the behaviour they vary, so no configuration runs just to produce a
-// reference.
+// nonrobust, --fault-order adi) pin verdicts to their golden. Invariance
+// entries vary only what must not move the bytes (--jobs, --shard-faults,
+// the implication schedule) and name the golden of the behaviour they
+// vary, so no configuration runs just to produce a reference.
 //
 // tests/CMakeLists.txt registers this binary under one ctest per scope,
 // each a gtest filter over the instantiation prefixes below:
@@ -19,8 +19,8 @@
 //   cli_shard_determinism           Shard/*: the default over the whole
 //                                   catalog, unsharded and sharded
 //   cli_learning_determinism_small  LearningSmall/*: those three points
-//                                   on s27, s298 and c17, and
-//                                   --modes nonrobust
+//                                   on s27, s298 and c17, --modes
+//                                   nonrobust and --fault-order adi
 //   cli_jobs_determinism            Jobs/*: the worker count alone
 //   cli_shard_determinism_small     ShardSmall/*: sharding alone
 //   cli_budget_determinism          BudgetAxis.*
@@ -61,6 +61,9 @@ constexpr const char* kBudget = "golden_budget.csv";
 // gdf_atpg -c s27 -c s298 -c s386 -c c17 --csv --no-seconds
 //     --modes nonrobust
 constexpr const char* kNonRobust = "golden_nonrobust.csv";
+// gdf_atpg -c s27 -c s298 -c s386 -c c17 --csv --no-seconds
+//     --fault-order adi
+constexpr const char* kAdi = "golden_adi.csv";
 
 struct Entry {
   const char* name;
@@ -174,9 +177,9 @@ INSTANTIATE_TEST_SUITE_P(
               {"--all", "--jobs", "4", "--shard-faults", "4"}}),
     entry_name);
 
-// The whole-catalog points on s27, s298 and c17, and the non-robust
-// algebra's rows (no whole-catalog scope runs that mode) on s27, s298,
-// s386 and c17, sharded.
+// The whole-catalog points on s27, s298 and c17, and the rows of the
+// non-robust algebra and of the accidental-detection-index order (no
+// whole-catalog scope runs either) on s27, s298, s386 and c17, sharded.
 INSTANTIATE_TEST_SUITE_P(
     LearningSmall, Determinism,
     ::testing::Values(
@@ -195,6 +198,11 @@ INSTANTIATE_TEST_SUITE_P(
               kNonRobust,
               {"-c", "s27", "-c", "s298", "-c", "s386", "-c", "c17",
                "--modes", "nonrobust", "--jobs", "4", "--shard-faults",
+               "4"}},
+        Entry{"Adi_Jobs4_Shard4",
+              kAdi,
+              {"-c", "s27", "-c", "s298", "-c", "s386", "-c", "c17",
+               "--fault-order", "adi", "--jobs", "4", "--shard-faults",
                "4"}}),
     entry_name);
 

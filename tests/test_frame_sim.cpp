@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
-
 #include "algebra/frame_sim.hpp"
 #include "base/rng.hpp"
+#include "circuits/catalog.hpp"
 #include "circuits/embedded.hpp"
+#include "netlist/fanout.hpp"
+#include "tdgen/fault.hpp"
 
 namespace gdf::alg {
 namespace {
@@ -142,53 +143,53 @@ TEST_F(C17FrameSim, RerunSourcesMatchesFreshRunUnderRandomFlips) {
   }
 }
 
-TEST_F(C17FrameSim, ForcedSweepStopReportsConeValue) {
-  // A truncated lane must report exactly the value a full forced replay
-  // leaves at the stop node, and never touch POs.
-  std::vector<VSet> baseline;
-  sim_.run(robust_stimulus(), nullptr, baseline);
-  const NodeId stem = model_.head_of(nl_.find("N11"));
-  for (const NodeId stop :
-       {model_.head_of(nl_.find("N16")), model_.head_of(nl_.find("N19")),
-        model_.head_of(nl_.find("N22"))}) {
-    for (const V8 pol : {V8::RiseC, V8::FallC}) {
-      std::vector<VSet> reference;
-      sim_.run_forced(robust_stimulus(), stem, vset_of(pol), reference);
-      const TwoFrameSim::ForcedLane lane{stem, vset_of(pol), stop};
-      VSet stop_value = kEmptySet;
-      const std::uint64_t mask =
-          sim_.forced_sweep(baseline, {&lane, 1}, {&stop_value, 1});
-      EXPECT_EQ(stop_value, reference[stop]);
-      EXPECT_EQ(mask, 0u);  // truncated lanes never report a PO verdict
-    }
-  }
-}
-
-TEST_F(C17FrameSim, ForcedSweepMaskMatchesRunForced) {
-  std::vector<VSet> baseline;
-  sim_.run(robust_stimulus(), nullptr, baseline);
-  std::vector<TwoFrameSim::ForcedLane> lanes;
-  for (const char* name : {"N11", "N10", "N16", "N19"}) {
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::RiseC),
-                     kNoNode});
-    lanes.push_back({model_.head_of(nl_.find(name)), vset_of(V8::FallC),
-                     kNoNode});
-  }
-  const std::uint64_t mask = sim_.forced_po_carrier_mask(baseline, lanes);
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    std::vector<VSet> forced;
-    sim_.run_forced(robust_stimulus(), lanes[i].node, lanes[i].set, forced);
-    bool po_carrier = false;
-    for (const NodeId obs : model_.observation_points()) {
-      if (!model_.node(obs).is_po) {
-        continue;
+// TDsim replays only a fault site's cone over one fault-free pass; that
+// must equal a fresh faulty pass node for node. Seeded random stimuli,
+// binary and with a quarter of the sources widened to random sets, on
+// every fault of the fanout-expanded model whose site the stimulus
+// activates (a clean transition of the fault's polarity).
+TEST(CatalogFrameSim, RunInjectedMatchesFreshFaultyRun) {
+  for (const char* name : {"c17", "s27", "s298", "s386"}) {
+    const net::Netlist nl =
+        net::expand_fanout_branches(circuits::load_circuit(name));
+    const AtpgModel model(nl);
+    const TwoFrameSim sim(model, robust_algebra());
+    const std::vector<tdgen::DelayFault> faults = tdgen::enumerate_faults(nl);
+    Rng rng(29);
+    for (const bool wide : {false, true}) {
+      long activated = 0;
+      std::vector<VSet> baseline, injected, fresh;
+      for (int pattern = 0; pattern < 8; ++pattern) {
+        TwoFrameStimulus s;
+        s.pi_sets.resize(model.pis().size());
+        s.ppi_sets.resize(model.ppis().size());
+        for (auto* sets : {&s.pi_sets, &s.ppi_sets}) {
+          for (VSet& v : *sets) {
+            v = vset_primary_from_frames(static_cast<int>(rng.next_below(2)),
+                                         static_cast<int>(rng.next_below(2)));
+            if (wide && rng.next_below(4) == 0) {
+              v = static_cast<VSet>(rng.next_in(1, 255) & kPrimaryDomain);
+              v = v == kEmptySet ? kPrimaryDomain : v;
+            }
+          }
+        }
+        sim.run(s, nullptr, baseline);
+        for (const tdgen::DelayFault& f : faults) {
+          const FaultSpec spec{model.head_of(f.line), f.slow_to_rise};
+          if (baseline[spec.site] !=
+              vset_of(f.slow_to_rise ? V8::Rise : V8::Fall)) {
+            continue;
+          }
+          ++activated;
+          sim.run_injected(baseline, spec, injected);
+          sim.run(s, &spec, fresh);
+          ASSERT_EQ(injected, fresh)
+              << name << (wide ? " wide" : " binary") << " pattern "
+              << pattern << " fault " << tdgen::fault_name(nl, f);
+        }
       }
-      const VSet s = forced[obs];
-      if (s != kEmptySet && (s & ~kCarrierSet) == 0) {
-        po_carrier = true;
-      }
+      EXPECT_GT(activated, 0) << name << (wide ? " wide" : " binary");
     }
-    EXPECT_EQ((mask >> i & 1u) != 0, po_carrier) << "lane " << i;
   }
 }
 

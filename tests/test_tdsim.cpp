@@ -55,7 +55,7 @@ class C17Tdsim : public ::testing::Test {
 };
 
 TEST_F(C17Tdsim, KnownPatternDetectsTargetFault) {
-  const auto detected = tdsim_.detect_exact(known_good_request(), faults_);
+  const auto detected = tdsim_.detect(known_good_request(), faults_);
   EXPECT_TRUE(detected[fault_index("N11", true)]);
   // The same pattern robustly covers the falling fault at N16 (N16 falls
   // and both POs rise through it).
@@ -69,75 +69,29 @@ TEST_F(C17Tdsim, KnownPatternDetectsTargetFault) {
 TEST_F(C17Tdsim, ActivationRequiresCleanTransition) {
   TdsimRequest request = known_good_request();
   request.stimulus.pi_sets[3] = alg::kPrimaryDomain;  // N6 unknown
-  const auto detected = tdsim_.detect_exact(request, faults_);
+  const auto detected = tdsim_.detect(request, faults_);
   // N11's transition is no longer guaranteed.
   EXPECT_FALSE(detected[fault_index("N11", true)]);
 }
 
-TEST_F(C17Tdsim, CptAgreesOnKnownPattern) {
-  const auto exact = tdsim_.detect_exact(known_good_request(), faults_);
-  const auto cpt = tdsim_.detect_cpt(known_good_request(), faults_);
-  EXPECT_EQ(exact, cpt);
-}
-
-struct SweepCase {
-  std::string circuit;
-  std::uint64_t seed;
-};
-
-class CptEquivalence : public ::testing::TestWithParam<SweepCase> {};
-
-TEST_P(CptEquivalence, RandomPatternsMatchExact) {
-  const net::Netlist nl =
-      net::expand_fanout_branches(circuits::load_circuit(GetParam().circuit));
-  const AtpgModel model(nl);
-  const Tdsim tdsim(model, robust_algebra());
-  const auto faults = tdgen::enumerate_faults(nl);
-  Rng rng(GetParam().seed);
-
-  for (int pattern = 0; pattern < 8; ++pattern) {
-    TdsimRequest request;
-    request.stimulus.pi_sets.resize(nl.inputs().size());
-    for (VSet& s : request.stimulus.pi_sets) {
-      s = bits(static_cast<int>(rng.next_below(2)),
-               static_cast<int>(rng.next_below(2)));
-    }
-    request.stimulus.ppi_sets.resize(nl.dffs().size());
-    for (VSet& s : request.stimulus.ppi_sets) {
-      s = bits(static_cast<int>(rng.next_below(2)),
-               static_cast<int>(rng.next_below(2)));
-    }
-    request.observable_ppo.assign(nl.dffs().size(), true);
-    const auto exact = tdsim.detect_exact(request, faults);
-    const auto cpt = tdsim.detect_cpt(request, faults);
-    EXPECT_EQ(exact, cpt) << GetParam().circuit << " pattern " << pattern;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Circuits, CptEquivalence,
-    ::testing::Values(SweepCase{"c17", 11}, SweepCase{"s27", 12},
-                      SweepCase{"s298", 13}, SweepCase{"s386", 14}),
-    [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return info.param.circuit;
-    });
-
-// The flow drops faults with detect_cpt on requests whose PPO
-// observability is partial and which carry the test's needed PPOs —
-// requests CptEquivalence never draws. Rebuild each dropping request of a
+// TDsim's verdicts rest on run_injected replaying only the site's cone over
+// the fault-free pass. The flow's dropping requests carry partial PPO
+// observability and the test's needed PPOs, so rebuild each of them for a
 // paper-configuration run the way Fogbuster::apply_test builds it (the
-// X-fill stream consumed in test order) and hold CPT to the exact engine
-// over every fault.
-TEST(FlowDroppingRequests, CptMatchesExact) {
+// X-fill stream consumed in test order) and hold the replay to a fresh
+// faulty run for every fault whose site the request activates.
+TEST(FlowDroppingRequests, InjectedReplayMatchesFreshFaultyRun) {
   for (const char* name : {"s27", "s298"}) {
     const auto ctx = core::CircuitContext::build(circuits::load_circuit(name));
     const core::AtpgOptions options;
     const core::FogbusterResult result = core::Fogbuster(ctx, options).run();
     fausim::Fausim fausim(ctx->flat());
-    const Tdsim tdsim(ctx->model(), ctx->algebra(options.mode));
+    const alg::TwoFrameSim sim(ctx->model(), ctx->algebra(options.mode));
     Rng fill(options.fill_seed);
     int partial_observability = 0;
     int with_needed_ppos = 0;
+    long compared = 0;
+    std::vector<VSet> baseline, injected, fresh;
     for (std::size_t k = 0; k < result.tests.size(); ++k) {
       const core::TestSequence& test = result.tests[k];
       const fausim::Fausim::GoodTrace trace =
@@ -148,12 +102,25 @@ TEST(FlowDroppingRequests, CptMatchesExact) {
           std::count(request.observable_ppo.begin(),
                      request.observable_ppo.end(), false) > 0;
       with_needed_ppos += !request.needed_ppos.empty();
-      EXPECT_EQ(tdsim.detect_exact(request, ctx->faults()),
-                tdsim.detect_cpt(request, ctx->faults()))
-          << name << " test " << k;
+      sim.run(request.stimulus, nullptr, baseline);
+      for (const DelayFault& f : ctx->faults()) {
+        const alg::FaultSpec spec{ctx->model().head_of(f.line),
+                                  f.slow_to_rise};
+        if (baseline[spec.site] !=
+            alg::vset_of(f.slow_to_rise ? V8::Rise : V8::Fall)) {
+          continue;
+        }
+        sim.run_injected(baseline, spec, injected);
+        sim.run(request.stimulus, &spec, fresh);
+        ASSERT_EQ(injected, fresh)
+            << name << " test " << k << " fault "
+            << tdgen::fault_name(ctx->netlist(), f);
+        ++compared;
+      }
     }
     EXPECT_GT(partial_observability, 0) << name;
     EXPECT_GT(with_needed_ppos, 0) << name;
+    EXPECT_GT(compared, 0) << name;
   }
 }
 
@@ -172,11 +139,10 @@ TEST(TdsimPpoPaths, ObservabilityGatesPpoCredit) {
                               bits(0, 0)};
   request.stimulus.ppi_sets = {bits(0, 0), bits(0, 0), bits(0, 0)};
   request.observable_ppo = {false, false, false};
-  EXPECT_FALSE(tdsim.detect_exact(request, faults)[0]);
+  EXPECT_FALSE(tdsim.detect(request, faults)[0]);
 
   request.observable_ppo[2] = true;
-  EXPECT_TRUE(tdsim.detect_exact(request, faults)[0]);
-  EXPECT_EQ(tdsim.detect_cpt(request, faults)[0], true);
+  EXPECT_TRUE(tdsim.detect(request, faults)[0]);
 }
 
 TEST(TdsimPpoPaths, InvalidationBlocksCredit) {
@@ -197,7 +163,7 @@ TEST(TdsimPpoPaths, InvalidationBlocksCredit) {
   // so only G13's fault matters; needed PPO 0 is undisturbed by it.
   const std::vector<DelayFault> faults = {{nl.find("G13"), true}};
   request.needed_ppos = {0};
-  EXPECT_TRUE(tdsim.detect_exact(request, faults)[0]);
+  EXPECT_TRUE(tdsim.detect(request, faults)[0]);
 
   // A fault on G12's branch toward G13 corrupts the same PPO it needs:
   // needing PPO 2 while observing through PPO 2 is fine (self), but a
@@ -206,7 +172,7 @@ TEST(TdsimPpoPaths, InvalidationBlocksCredit) {
   // G2 falls here, so StF at G2 is activated and captured at PPO 2 as
   // well; it disturbs nothing else — credit stands.
   const std::vector<DelayFault> g2 = {{nl.find("G2"), false}};
-  EXPECT_TRUE(tdsim.detect_exact(request, g2)[0]);
+  EXPECT_TRUE(tdsim.detect(request, g2)[0]);
 }
 
 TEST(TdsimActivation, SiteMustTransitionCleanly) {
@@ -219,7 +185,7 @@ TEST(TdsimActivation, SiteMustTransitionCleanly) {
   // All inputs steady: nothing transitions, nothing is detected.
   request.stimulus.pi_sets = {bits(0, 0), bits(1, 1), bits(1, 1),
                               bits(0, 0), bits(1, 1)};
-  const auto detected = tdsim.detect_exact(request, faults);
+  const auto detected = tdsim.detect(request, faults);
   EXPECT_FALSE(detected[0]);
   EXPECT_FALSE(detected[1]);
 }
