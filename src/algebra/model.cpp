@@ -122,17 +122,17 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
     ppo_nodes_.push_back(head_[nl.gate(dff).fanin[0]]);
   }
 
-  obs_mask_.assign(nodes_.size(), false);
+  std::vector<bool> obs_mask(nodes_.size(), false);
   for (const net::GateId po : nl.outputs()) {
     nodes_[head_[po]].is_po = true;
-    if (!obs_mask_[head_[po]]) {
-      obs_mask_[head_[po]] = true;
+    if (!obs_mask[head_[po]]) {
+      obs_mask[head_[po]] = true;
       obs_.push_back(head_[po]);
     }
   }
   for (const NodeId ppo : ppo_nodes_) {
-    if (!obs_mask_[ppo]) {
-      obs_mask_[ppo] = true;
+    if (!obs_mask[ppo]) {
+      obs_mask[ppo] = true;
       obs_.push_back(ppo);
     }
   }
@@ -193,43 +193,6 @@ AtpgModel::AtpgModel(const net::Netlist& nl) : nl_(&nl) {
         work.push_back(input);
       }
     }
-  }
-
-  // Reachability mask and immediate dominators toward the observation
-  // sinks, in one reverse-topological pass. The dominator relation is over
-  // the fanout DAG extended with a virtual sink T fed by every observation
-  // point; kNoNode plays the role of T (conveniently the largest id, so
-  // the standard two-finger intersection walk works unchanged). Node ids
-  // are topological, so when `id` is processed every reader has its final
-  // idom.
-  obs_reach_.assign(nodes_.size(), 0);
-  idom_.assign(nodes_.size(), kNoNode);
-  const auto intersect = [this](NodeId a, NodeId b) {
-    while (a != b) {
-      if (a < b) {
-        a = idom_[a];
-      } else {
-        b = idom_[b];
-      }
-    }
-    return a;
-  };
-  for (NodeId id = static_cast<NodeId>(nodes_.size()); id-- > 0;) {
-    bool reach = obs_mask_[id];
-    // An observation point's own edge to T pins its idom at T (kNoNode);
-    // otherwise start undefined and fold the reachable readers in.
-    bool have = reach;
-    NodeId cand = kNoNode;
-    for (const NodeId reader : fanout(id)) {
-      if (!obs_reach_[reader]) {
-        continue;
-      }
-      reach = true;
-      cand = have ? intersect(cand, reader) : reader;
-      have = true;
-    }
-    obs_reach_[id] = reach ? 1 : 0;
-    idom_[id] = reach ? cand : kNoNode;
   }
 
   // Register-role CSR: dff indices for which a node is the PPI / PPO

@@ -75,27 +75,13 @@ class AtpgModel {
   /// Head node of the gate driving flip-flop `dff_index`'s data pin — the
   /// pseudo primary output of that flip-flop.
   NodeId ppo_node(std::size_t dff_index) const { return ppo_nodes_[dff_index]; }
-  std::span<const NodeId> ppo_nodes() const { return ppo_nodes_; }
 
   /// PO heads followed by PPO heads, deduplicated.
   std::span<const NodeId> observation_points() const { return obs_; }
-  bool is_observation(NodeId id) const { return obs_mask_[id]; }
 
   /// Minimum node distance to an observation point (large sentinel when
   /// unreachable) — the propagation guidance heuristic.
   int obs_distance(NodeId id) const { return obs_distance_[id]; }
-
-  /// True when some observation point is reachable through `id`'s fanout.
-  bool obs_reachable(NodeId id) const { return obs_reach_[id] != 0; }
-
-  /// Immediate dominator of `id` toward the observation sinks: the unique
-  /// nearest node (other than `id`) that every path from `id` to every
-  /// reachable observation point passes through. kNoNode when `id` is
-  /// dominated only by the virtual sink (its paths diverge for good, or it
-  /// is itself an observation point) or when no observation point is
-  /// reachable at all — disambiguate with obs_reachable(). Chains strictly
-  /// increase in node id, so idom walks terminate.
-  NodeId idom(NodeId id) const { return idom_[id]; }
 
   /// Flip-flop indices for which `id` serves as the PPI or PPO partner (a
   /// PPO node can serve several flip-flops when fanout is not expanded),
@@ -127,10 +113,7 @@ class AtpgModel {
   std::vector<NodeId> ppi_nodes_;
   std::vector<NodeId> ppo_nodes_;
   std::vector<NodeId> obs_;
-  std::vector<bool> obs_mask_;
   std::vector<int> obs_distance_;
-  std::vector<std::uint8_t> obs_reach_;
-  std::vector<NodeId> idom_;
   std::vector<std::uint32_t> role_begin_;
   std::vector<std::uint32_t> role_pool_;
 };

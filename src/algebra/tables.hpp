@@ -45,8 +45,6 @@ class DelayAlgebra {
 
   /// Exact image of the Not bijection.
   VSet set_not(VSet a) const { return not_image_[a]; }
-  /// Preimage of the Not bijection (same table, Not is an involution).
-  VSet set_not_pre(VSet out) const { return set_not(out); }
 
   /// Union of eval2 over all member pairs: possible outputs.
   VSet set_fwd(Op2 op, VSet a, VSet b) const {

@@ -6,10 +6,10 @@ namespace gdf::core {
 
 CircuitContext::CircuitContext(const net::Netlist& circuit,
                                const AtpgOptions& options)
-    : expand_branches_(options.expand_branches),
-      fault_sites_(options.fault_sites),
-      nl_(options.expand_branches ? net::expand_fanout_branches(circuit)
-                                  : circuit),
+    : fault_sites_(options.fault_sites),
+      nl_(options.fault_sites.include_branches
+              ? net::expand_fanout_branches(circuit)
+              : circuit),
       model_(nl_),
       flat_(sim::FlatCircuit::build(nl_)),
       faults_(tdgen::enumerate_faults(nl_, options.fault_sites)) {}
@@ -24,8 +24,7 @@ std::shared_ptr<const CircuitContext> CircuitContext::build(
 
 bool CircuitContext::structurally_compatible(
     const AtpgOptions& options) const {
-  return options.expand_branches == expand_branches_ &&
-         options.fault_sites == fault_sites_;
+  return options.fault_sites == fault_sites_;
 }
 
 }  // namespace gdf::core

@@ -8,10 +8,10 @@
 // engines (search state, simulators' scratch, RNG) and shares the context
 // via shared_ptr.
 //
-// Two AtpgOptions produce the same context iff their structural knobs
-// (expand_branches, fault_sites) agree; the per-run knobs (algebra mode,
-// backtrack limits, seed, fault dropping, work budget) do not enter the
-// context. `structurally_compatible` is the exact predicate.
+// Two AtpgOptions produce the same context iff their structural knob
+// (fault_sites) agrees; the per-run knobs (algebra mode, backtrack
+// limits, seed, fault dropping, work budget) do not enter the context.
+// `structurally_compatible` is the exact predicate.
 #pragma once
 
 #include <memory>
@@ -29,9 +29,9 @@ namespace gdf::core {
 class CircuitContext {
  public:
   /// Builds the shared structure for `circuit` under `options`'s
-  /// structural configuration. The netlist is copied (and expanded when
-  /// options.expand_branches is set), so the argument need not outlive the
-  /// context.
+  /// structural configuration. The netlist is copied (and its fanout
+  /// branches expanded when options.fault_sites.include_branches is set),
+  /// so the argument need not outlive the context.
   static std::shared_ptr<const CircuitContext> build(
       const net::Netlist& circuit, const AtpgOptions& options = {});
 
@@ -63,7 +63,6 @@ class CircuitContext {
  private:
   CircuitContext(const net::Netlist& circuit, const AtpgOptions& options);
 
-  bool expand_branches_;
   tdgen::FaultListOptions fault_sites_;
   net::Netlist nl_;
   alg::AtpgModel model_;  ///< holds a pointer to nl_: address-stable here

@@ -125,7 +125,7 @@ Fogbuster::Fogbuster(std::shared_ptr<const CircuitContext> context,
       tdsim_(ctx_->model(), *algebra_) {
   check(ctx_->structurally_compatible(options_),
         "Fogbuster: context was built under different structural options "
-        "(expand_branches / fault_sites)");
+        "(fault_sites)");
 }
 
 bool Fogbuster::try_finalize(const DelayFault& fault, const LocalTest& local,

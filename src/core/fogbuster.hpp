@@ -114,13 +114,14 @@ tdsim::TdsimRequest make_tdsim_request(const net::Netlist& nl,
 class Fogbuster {
  public:
   /// Takes the raw circuit; fanout branches are expanded internally when
-  /// options.expand_branches is set. Builds a private CircuitContext.
+  /// options.fault_sites.include_branches is set. Builds a private
+  /// CircuitContext.
   Fogbuster(const net::Netlist& circuit, AtpgOptions options = {});
 
   /// Shares an already-built context (the reentrant form: any number of
   /// Fogbusters on one context, concurrently or in sequence). Throws
   /// gdf::Error when the context was built under different structural
-  /// options (expand_branches / fault_sites).
+  /// options (fault_sites).
   Fogbuster(std::shared_ptr<const CircuitContext> context,
             AtpgOptions options = {});
 

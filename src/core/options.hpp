@@ -32,11 +32,9 @@ struct AtpgOptions {
   semilet::SemiletOptions sequential;
 
   /// Which lines carry faults (paper: every gate output and every fanout
-  /// branch).
+  /// branch). Branch faults need the fanout branches made explicit, so
+  /// the context expands them exactly when `include_branches` is set.
   tdgen::FaultListOptions fault_sites;
-
-  /// Insert explicit fanout branches before fault enumeration.
-  bool expand_branches = true;
 
   /// Fault-simulate after each successful generation and drop the
   /// additionally detected faults (paper §5/§6).

@@ -55,15 +55,13 @@ std::vector<T> axis_or(const std::vector<T>& axis, T base_value) {
 }
 
 /// The structural slice of AtpgOptions — cells sharing it share one
-/// CircuitContext (same fields CircuitContext::structurally_compatible
+/// CircuitContext (the field CircuitContext::structurally_compatible
 /// compares, via FaultListOptions::operator==).
 struct StructuralKey {
-  bool expand_branches;
   tdgen::FaultListOptions sites;
 
   explicit StructuralKey(const core::AtpgOptions& options)
-      : expand_branches(options.expand_branches),
-        sites(options.fault_sites) {}
+      : sites(options.fault_sites) {}
 
   bool operator==(const StructuralKey&) const = default;
 };
@@ -157,11 +155,9 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
                 job.options.sequential.backtrack_limit = backtrack;
                 job.options.fault_dropping = dropping;
                 // A 'full' cell expands the fanout branches and
-                // enumerates faults on them, a 'stems' cell does neither
-                // — the two site models really are two different fault
-                // populations, whatever the base configuration says.
+                // enumerates faults on them, a 'stems' cell does neither,
+                // whatever the base configuration says.
                 job.options.fault_sites.include_branches = full;
-                job.options.expand_branches = full;
                 jobs.push_back(std::move(job));
               }
             }

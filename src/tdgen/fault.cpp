@@ -10,14 +10,7 @@ std::vector<DelayFault> enumerate_faults(const net::Netlist& nl,
                                          const FaultListOptions& options) {
   std::vector<DelayFault> faults;
   for (net::GateId id = 0; id < nl.size(); ++id) {
-    const net::Gate& g = nl.gate(id);
-    if (g.type == net::GateType::Input && !options.include_pi_lines) {
-      continue;
-    }
-    if (g.type == net::GateType::Dff && !options.include_ppi_lines) {
-      continue;
-    }
-    if (g.is_branch && !options.include_branches) {
+    if (nl.gate(id).is_branch && !options.include_branches) {
       continue;
     }
     faults.push_back({id, true});

@@ -24,9 +24,7 @@ struct DelayFault {
 std::string fault_name(const net::Netlist& nl, const DelayFault& fault);
 
 struct FaultListOptions {
-  bool include_pi_lines = true;      ///< faults on primary-input lines
-  bool include_ppi_lines = true;     ///< faults on flip-flop output lines
-  bool include_branches = true;      ///< faults on fanout-branch buffers
+  bool include_branches = true;  ///< faults on fanout-branch buffers
 
   bool operator==(const FaultListOptions&) const = default;
 };

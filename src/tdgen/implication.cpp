@@ -6,7 +6,6 @@
 
 namespace gdf::tdgen {
 
-using alg::kCarrierSet;
 using alg::kCleanSet;
 using alg::kEmptySet;
 using alg::kFullSet;
@@ -62,16 +61,9 @@ void ImplicationEngine::init(const alg::FaultSpec& fault) {
   act_inc_ = 1.0;
 
   in_cone_.assign(model_->node_count(), 0);
-  site_chain_.clear();
   if (fault.site != kNoNode) {
     for (const NodeId id : model_->carrier_cone(fault.site)) {
       in_cone_[id] = 1;
-    }
-    // The site's dominator chain: every observation path passes each of
-    // these, so a carrier-free chain node proves unobservability.
-    for (NodeId d = model_->idom(fault.site); d != kNoNode;
-         d = model_->idom(d)) {
-      site_chain_.push_back(d);
     }
   }
   for (NodeId id = 0; id < model_->node_count(); ++id) {
@@ -112,7 +104,6 @@ bool ImplicationEngine::init_from(const ImplicationEngine& donor,
   conflict_node_ = kNoNode;
   activity_.assign(model_->node_count(), 0.0);
   act_inc_ = 1.0;
-  site_chain_ = donor.site_chain_;
   root_sets_ = donor.root_sets_;
   root_conflict_ = donor.root_conflict_;
   root_ready_ = true;

@@ -93,21 +93,6 @@ class ImplicationEngine {
   void pop_level();
   std::size_t depth() const { return level_marks_.size(); }
 
-  /// True when a node on the fault site's dominator chain — a node every
-  /// path from the site to every observation point passes through — has
-  /// lost all carrier members. At fixpoint the carrier chain backing any
-  /// observed carrier runs through every chain node, so a blocked chain
-  /// proves no observation point can see the fault. Sound only at
-  /// fixpoint, i.e. after a successful assign()/init().
-  bool carrier_path_blocked() const {
-    for (const alg::NodeId d : site_chain_) {
-      if ((sets_[d] & alg::kCarrierSet) == 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   const ImplCounters& counters() const { return counters_; }
 
   // --- Conflict analysis ---------------------------------------------------
@@ -203,8 +188,6 @@ class ImplicationEngine {
   std::vector<alg::NodeId> queue_;
   std::size_t queue_head_ = 0;
   std::vector<std::uint8_t> pending_;
-  /// The fault site's dominator chain toward the observation sinks.
-  std::vector<alg::NodeId> site_chain_;
   /// Membership in the fault cone — init() scratch.
   std::vector<std::uint8_t> in_cone_;
   bool conflict_ = false;

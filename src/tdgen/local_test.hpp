@@ -29,7 +29,6 @@ struct LocalTest {
   /// contained in {Rc,Fc}).
   std::vector<alg::NodeId> observed;
   bool observed_at_po = false;
-  std::vector<std::size_t> observed_ppos;  ///< dff indices among `observed`
 };
 
 /// State-boundary classification of one PPO value set.

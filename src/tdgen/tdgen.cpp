@@ -105,31 +105,18 @@ bool TdgenSearch::prime() {
   return ok;
 }
 
-bool TdgenSearch::carrier_possible_at_observation() const {
-  // Dominator cutoff first: a carrier-free node on the site's dominator
-  // chain proves (at fixpoint — which holds whenever the search consults
-  // this) that no observation point can hold a carrier, so the scan below
-  // could only agree. The chain is short, and in abort-heavy searches the
-  // blocked case is the common one.
-  if (engine_.carrier_path_blocked()) {
-    return false;
-  }
-  for (const NodeId obs : model_->observation_points()) {
-    if ((engine_.get(obs) & kCarrierSet) != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool TdgenSearch::engine_claims_observation() const {
+TdgenSearch::Observation TdgenSearch::observation() const {
+  Observation seen = Observation::None;
   for (const NodeId obs : model_->observation_points()) {
     const VSet s = engine_.get(obs);
     if (vset_carrier_only(s)) {
-      return true;
+      return Observation::Claimed;
+    }
+    if ((s & kCarrierSet) != 0) {
+      seen = Observation::Possible;
     }
   }
-  return false;
+  return seen;
 }
 
 namespace {
@@ -149,27 +136,27 @@ std::string source_key(const std::vector<VSet>& pi_sets,
 
 }  // namespace
 
-bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
-                                 const std::vector<unsigned>& ppi_inits,
-                                 CheckOutcome* out) const {
+TdgenSearch::Passed* TdgenSearch::check_stimulus(
+    const std::vector<VSet>& pi_sets, const std::vector<unsigned>& ppi_inits,
+    bool leaf) {
   std::string key = source_key(pi_sets, ppi_inits);
-  if (failed_checks_.contains(key)) {
-    return false;
+  if (failed_.contains(key)) {
+    return nullptr;
   }
-  // The whole check is a pure function of the source vector, so a
-  // repeated probe returns the memoized outcome. Byte-equivalent to
-  // resimulating: rerun_sources replays exactly from any cached base.
-  const auto hit = success_checks_.find(key);
-  if (hit != success_checks_.end()) {
-    ++probe_counters_.probe_memo_hits;
-    if (out != nullptr) {
-      *out = hit->second;
+  const auto hit = passed_.find(key);
+  if (hit != passed_.end()) {
+    // A leaf entered before lifts exactly as it did then, to a test that
+    // is by now published.
+    if (leaf && hit->second.entered) {
+      return nullptr;
     }
-    return true;
+    ++probe_counters_.probe_memo_hits;
+    hit->second.entered |= leaf;
+    return &hit->second;
   }
-  const auto fail = [&]() {
-    failed_checks_.insert(std::move(key));
-    return false;
+  const auto fail = [&]() -> Passed* {
+    failed_.insert(std::move(key));
+    return nullptr;
   };
   // The PPI final-frame component is produced by the register from the PPO
   // values of the initial frame, so it is derived, never assumed: each
@@ -271,18 +258,15 @@ bool TdgenSearch::check_stimulus(const std::vector<VSet>& pi_sets,
   if (observed.empty()) {
     return fail();
   }
-  CheckOutcome result;
-  result.stimulus = std::move(stimulus);
-  result.ppo_sets.reserve(model_->ppis().size());
-  for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-    result.ppo_sets.push_back(probe_sets_[model_->ppo_node(k)]);
+  Passed& passed = passed_.try_emplace(std::move(key)).first->second;
+  passed.stimulus = std::move(stimulus);
+  passed.ppo_sets.reserve(ppis.size());
+  for (std::size_t k = 0; k < ppis.size(); ++k) {
+    passed.ppo_sets.push_back(probe_sets_[model_->ppo_node(k)]);
   }
-  result.observed = std::move(observed);
-  success_checks_.emplace(std::move(key), result);
-  if (out != nullptr) {
-    *out = std::move(result);
-  }
-  return true;
+  passed.observed = std::move(observed);
+  passed.entered = leaf;
+  return &passed;
 }
 
 bool TdgenSearch::verified_solution(LocalTest* out) {
@@ -307,15 +291,8 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
     ppi_inits.push_back(alg::vset_initials(source_set(ppi)));
   }
 
-  // A repeat of an already-verified source vector deterministically
-  // reproduces the earlier outcome, which by now is either a known failure
-  // or a duplicate of a published test — both answer false.
-  if (!checked_entries_.insert(source_key(pi_sets, ppi_inits)).second) {
-    return false;
-  }
-
-  CheckOutcome best;
-  if (!check_stimulus(pi_sets, ppi_inits, &best)) {
+  Passed* best = check_stimulus(pi_sets, ppi_inits, /*leaf=*/true);
+  if (best == nullptr) {
     return false;
   }
 
@@ -323,16 +300,16 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
   // needs; try to widen every specified state bit and PI back toward X
   // while the observation stays guaranteed. This keeps the required
   // initial state small (synchronizable) and the handed-over PPO values
-  // few — the paper's TDgen leaves exactly such X values behind.
+  // few — the paper's TDgen leaves exactly such X values behind. `best`
+  // survives the probes' inserts: unordered_map nodes never move.
   for (std::size_t k = 0; k < ppi_inits.size(); ++k) {
     if (ppi_inits[k] == 0b11u) {
       continue;
     }
     const unsigned saved = ppi_inits[k];
     ppi_inits[k] = 0b11u;
-    CheckOutcome lifted;
-    if (check_stimulus(pi_sets, ppi_inits, &lifted)) {
-      best = std::move(lifted);
+    if (Passed* lifted = check_stimulus(pi_sets, ppi_inits, false)) {
+      best = lifted;
     } else {
       ppi_inits[k] = saved;
     }
@@ -346,46 +323,31 @@ bool TdgenSearch::verified_solution(LocalTest* out) {
     }
     const VSet saved = pi_sets[i];
     pi_sets[i] = wide;
-    CheckOutcome lifted;
-    if (check_stimulus(pi_sets, ppi_inits, &lifted)) {
-      best = std::move(lifted);
+    if (Passed* lifted = check_stimulus(pi_sets, ppi_inits, false)) {
+      best = lifted;
     } else {
       pi_sets[i] = saved;
     }
   }
 
   // Distinct-solution guarantee for the resumable enumeration: different
-  // internal search states can lift to the same published test.
-  std::string key;
-  key.reserve(best.stimulus.pi_sets.size() +
-              best.stimulus.ppi_sets.size());
-  for (const VSet s : best.stimulus.pi_sets) {
-    key.push_back(static_cast<char>(s));
-  }
-  for (const VSet s : best.stimulus.ppi_sets) {
-    key.push_back(static_cast<char>(s));
-  }
-  if (!published_.insert(key).second) {
+  // leaves can lift to the same source vector. A vector fixes its test,
+  // and a test fixes its vector (the register prune keeps a PPI's
+  // initials, see test_tables), so one flag per entry tells duplicates.
+  if (best->published) {
     return false;
   }
+  best->published = true;
 
   if (out != nullptr) {
-    out->pi_sets = best.stimulus.pi_sets;
-    out->ppi_sets = best.stimulus.ppi_sets;
-    out->ppo_sets = best.ppo_sets;
-    out->observed = best.observed;
+    out->pi_sets = best->stimulus.pi_sets;
+    out->ppi_sets = best->stimulus.ppi_sets;
+    out->ppo_sets = best->ppo_sets;
+    out->observed = best->observed;
     out->observed_at_po = false;
-    out->observed_ppos.clear();
-    for (const NodeId obs : best.observed) {
+    for (const NodeId obs : best->observed) {
       if (model_->node(obs).is_po) {
         out->observed_at_po = true;
-      }
-    }
-    for (std::size_t k = 0; k < model_->ppis().size(); ++k) {
-      const NodeId ppo = model_->ppo_node(k);
-      if (std::find(best.observed.begin(), best.observed.end(), ppo) !=
-          best.observed.end()) {
-        out->observed_ppos.push_back(k);
       }
     }
   }
@@ -585,7 +547,9 @@ TdgenStatus TdgenSearch::next(LocalTest* out) {
         return TdgenStatus::Aborted;
       }
     }
-    if (engine_.conflict() || !carrier_possible_at_observation()) {
+    const Observation seen =
+        engine_.conflict() ? Observation::None : observation();
+    if (seen == Observation::None) {
       // Only engine conflicts carry a trail to analyze, and only --learn
       // analyzes them; a merely blocked carrier path backtracks unanalyzed.
       const bool analyzed = engine_.conflict() && options_.learn &&
@@ -595,7 +559,7 @@ TdgenStatus TdgenSearch::next(LocalTest* out) {
       }
       continue;
     }
-    if (engine_claims_observation() && verified_solution(out)) {
+    if (seen == Observation::Claimed && verified_solution(out)) {
       return TdgenStatus::TestFound;
     }
     if (!choose_decision()) {

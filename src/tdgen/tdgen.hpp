@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -173,13 +172,24 @@ class TdgenSearch {
     alg::VSet allowed;
   };
 
-  struct CheckOutcome {
+  /// A probe that passed, as the probe table keeps it under its source
+  /// key (PIs + PPI initials).
+  struct Passed {
     alg::TwoFrameStimulus stimulus;
     /// Simulated PPO sets, indexed by DFF — the only simulation output a
-    /// solution needs, and compact enough to memoize per source vector.
+    /// solution needs besides `observed`.
     std::vector<alg::VSet> ppo_sets;
     std::vector<alg::NodeId> observed;
+    /// A search leaf settled on exactly these sources.
+    bool entered = false;
+    /// next() offered the test this entry holds.
+    bool published = false;
   };
+
+  /// What the engine's sets at the observation points allow: no carrier
+  /// anywhere, a carrier somewhere, or a carrier-only set somewhere
+  /// (Claimed implies Possible).
+  enum class Observation : std::uint8_t { None, Possible, Claimed };
 
   /// Conflict-directed backjumping (CBJ). With `analyzed`, cbj_cur_
   /// holds the decision levels a just-analyzed conflict rests on, and
@@ -192,11 +202,12 @@ class TdgenSearch {
   bool backtrack(bool analyzed = false);
   bool choose_decision();
   bool push_decision(alg::NodeId node, alg::VSet try_set);
-  bool carrier_possible_at_observation() const;
-  bool engine_claims_observation() const;
-  bool check_stimulus(const std::vector<alg::VSet>& pi_sets,
-                      const std::vector<unsigned>& ppi_inits,
-                      CheckOutcome* out) const;
+  Observation observation() const;
+  /// Probes a source vector: returns its entry in passed_, or nullptr when
+  /// it fails. A `leaf` probe marks the entry entered, and a leaf whose
+  /// vector was entered before gets nullptr, uncounted.
+  Passed* check_stimulus(const std::vector<alg::VSet>& pi_sets,
+                         const std::vector<unsigned>& ppi_inits, bool leaf);
   bool verified_solution(LocalTest* out);
   TdgenStatus exhausted_status() const;
 
@@ -222,23 +233,15 @@ class TdgenSearch {
   /// search starts at minus its inherited root pushes (see WorkBudget).
   long budget_charged_ = 0;
   std::vector<Decision> stack_;
-  std::set<std::string> published_;
-  /// Source-set vectors (PIs + PPI initials) already taken through
-  /// verification. Different search leaves frequently share identical
-  /// primary assignments (decisions on internal nodes do not move the
-  /// sources), and verification is a pure function of the sources, so a
-  /// repeat can only reproduce the earlier outcome — which by then is a
-  /// duplicate. Skipping it is behavior-identical and avoids the
-  /// simulation entirely.
-  std::unordered_set<std::string> checked_entries_;
-  /// check_stimulus inputs that already failed (the check is deterministic,
-  /// so they fail forever) — mostly hit by the don't-care lifting probes.
-  mutable std::unordered_set<std::string> failed_checks_;
-  /// Successful probe outcomes by source key: the check is a pure function
-  /// of the sources, so a repeat returns the cached outcome instead of
-  /// resimulating. Byte-equivalent either way — rerun_sources replays
-  /// against any cached base state exactly.
-  mutable std::unordered_map<std::string, CheckOutcome> success_checks_;
+  /// The probe table, by source key. Verification is a pure function of
+  /// the sources, so a repeated probe is answered here instead of
+  /// resimulated — byte-equivalent, since rerun_sources replays exactly
+  /// from any cached base. Repeats are common: decisions on internal
+  /// nodes do not move the sources, and the don't-care lifting probes
+  /// differ in one source. Failed keys sit in a set of their own, so they
+  /// carry no outcome; one map for both read a higher peak RSS.
+  std::unordered_set<std::string> failed_;
+  std::unordered_map<std::string, Passed> passed_;
   /// The cone-scoped probe cache: node sets settled under the sources
   /// the last probe replayed. A new probe seeds its PPI finals from this
   /// state's PPO initials and hands its full source vector to
@@ -247,9 +250,9 @@ class TdgenSearch {
   /// source. The seeds are the fixpoint unless that replay moves some PPO's
   /// initials, and then one more replay is (see check_stimulus). Exactly
   /// equivalent to a fresh full pass per probe.
-  mutable std::vector<alg::VSet> probe_sets_;
-  mutable bool probe_ready_ = false;
-  mutable SearchCounters probe_counters_;
+  std::vector<alg::VSet> probe_sets_;
+  bool probe_ready_ = false;
+  SearchCounters probe_counters_;
   /// Per decision level: the union of the conflict sets of every failure
   /// that bounced off that level (CBJ accounting, see backtrack).
   /// cbj_rows_[k][l] != 0 marks level l < k as involved; cbj_poison_[k]

@@ -340,28 +340,6 @@ TEST_F(C17Engine, InitFromDonorMatchesFreshInit) {
   expect_same(seeded, fresh, "after refusals");
 }
 
-TEST_F(C17Engine, CarrierPathBlockedIsSoundAtFixpoint) {
-  // Whenever the dominator-chain cutoff fires, no observation point may
-  // still admit a carrier — the equivalence the search's pruning rests on.
-  Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    ImplicationEngine engine(model_, robust_algebra());
-    engine.init(fault_);
-    for (int step = 0; step < 6 && !engine.conflict(); ++step) {
-      const NodeId n =
-          static_cast<NodeId>(rng.next_in(0, model_.node_count() - 1));
-      if (!engine.assign(n, static_cast<VSet>(rng.next_in(1, 255)))) {
-        break;
-      }
-      if (engine.carrier_path_blocked()) {
-        for (const NodeId obs : model_.observation_points()) {
-          EXPECT_EQ(static_cast<VSet>(engine.get(obs) & kCarrierSet), 0);
-        }
-      }
-    }
-  }
-}
-
 TEST(SiteOnBranch, BranchFaultIndependentOfStem) {
   // The stem N11 fans out to two branches; pinning the branch toward N16
   // to Rc must not force the sibling branch to a carrier.

@@ -110,109 +110,5 @@ TEST(ModelTest, BranchBuffersAreDistinctSites) {
   EXPECT_EQ(m.node(m.head_of(b0)).kind, NodeKind::Buf);
 }
 
-TEST(DominatorTest, DiamondReconvergesAtDominator) {
-  // s fans out into two paths that reconverge at d before the only PO:
-  // d is the immediate dominator of s (and of both path gates).
-  net::NetlistBuilder b("diamond");
-  b.input("a");
-  b.output("y");
-  b.gate("s", net::GateType::Buf, {"a"});
-  b.gate("p", net::GateType::Not, {"s"});
-  b.gate("q", net::GateType::Buf, {"s"});
-  b.gate("d", net::GateType::And, {"p", "q"});
-  b.gate("y", net::GateType::Buf, {"d"});
-  const net::Netlist nl = b.build();
-  const AtpgModel m(nl);
-  const NodeId d = m.head_of(nl.find("d"));
-  EXPECT_EQ(m.idom(m.head_of(nl.find("s"))), d);
-  EXPECT_EQ(m.idom(m.head_of(nl.find("p"))), d);
-  EXPECT_EQ(m.idom(m.head_of(nl.find("q"))), d);
-  EXPECT_EQ(m.idom(d), m.head_of(nl.find("y")));
-  // The PO itself is dominated only by the virtual sink.
-  EXPECT_EQ(m.idom(m.head_of(nl.find("y"))), kNoNode);
-  EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("s"))));
-}
-
-TEST(DominatorTest, DivergingPathsHaveNoProperDominator) {
-  // s feeds two separate POs: no single node sits on every path.
-  net::NetlistBuilder b("diverge");
-  b.input("a");
-  b.output("y1");
-  b.output("y2");
-  b.gate("s", net::GateType::Buf, {"a"});
-  b.gate("y1", net::GateType::Buf, {"s"});
-  b.gate("y2", net::GateType::Not, {"s"});
-  const net::Netlist nl = b.build();
-  const AtpgModel m(nl);
-  EXPECT_EQ(m.idom(m.head_of(nl.find("s"))), kNoNode);
-  EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("s"))));
-}
-
-TEST(DominatorTest, PpoOnlyPathIsObsReachable) {
-  net::NetlistBuilder b("ppo_only");
-  b.input("a");
-  b.output("y");
-  b.dff("q", "d");
-  b.gate("d", net::GateType::Not, {"a"});
-  b.gate("y", net::GateType::Buf, {"q"});
-  const net::Netlist nl = b.build();
-  const AtpgModel m(nl);
-  const NodeId d_head = m.head_of(nl.find("d"));
-  EXPECT_TRUE(m.obs_reachable(d_head));  // no PO path; the PPO observes it
-  // The PPI side reaches the PO.
-  EXPECT_TRUE(m.obs_reachable(m.head_of(nl.find("q"))));
-}
-
-/// Brute-force dominator property on real circuits: idom(n) must cut every
-/// fanout path from n to an observation point, and be the nearest (lowest
-/// id) node that does.
-TEST(DominatorTest, MatchesBruteForceOnC17AndS27) {
-  for (const bool expand : {false, true}) {
-    for (const net::Netlist& base :
-         {circuits::make_c17(), circuits::make_s27()}) {
-      const net::Netlist nl =
-          expand ? net::expand_fanout_branches(base) : base;
-      const AtpgModel m(nl);
-      const auto reaches_obs_avoiding = [&m](NodeId from, NodeId cut) {
-        std::vector<NodeId> work{from};
-        std::vector<bool> seen(m.node_count(), false);
-        seen[from] = true;
-        while (!work.empty()) {
-          const NodeId id = work.back();
-          work.pop_back();
-          if (m.is_observation(id)) {
-            return true;
-          }
-          for (const NodeId r : m.fanout(id)) {
-            if (r != cut && !seen[r]) {
-              seen[r] = true;
-              work.push_back(r);
-            }
-          }
-        }
-        return false;
-      };
-      for (NodeId n = 0; n < m.node_count(); ++n) {
-        if (!m.obs_reachable(n)) {
-          EXPECT_EQ(m.idom(n), kNoNode);
-          continue;
-        }
-        // All dominators lie on every path, so the immediate one is the
-        // lowest-id cone node whose removal disconnects n from every
-        // observation point.
-        NodeId expected = kNoNode;
-        if (!m.is_observation(n)) {
-          for (const NodeId c : m.carrier_cone(n)) {
-            if (c != n && !reaches_obs_avoiding(n, c)) {
-              expected = std::min(expected, c);
-            }
-          }
-        }
-        EXPECT_EQ(m.idom(n), expected) << "node " << n;
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace gdf::alg

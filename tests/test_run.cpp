@@ -73,7 +73,6 @@ TEST(CircuitContextTest, IsSharedAndStructurallyChecked) {
 
   core::AtpgOptions stems;
   stems.fault_sites.include_branches = false;
-  stems.expand_branches = false;
   EXPECT_FALSE(ctx->structurally_compatible(stems));
   EXPECT_THROW(core::Fogbuster(ctx, stems), Error);
 }
@@ -477,20 +476,16 @@ TEST(SweepSpecTest, ExpansionIsCanonicalAndCircuitMajor) {
 }
 
 // A 'full' sites cell means the paper's fault model even when the base
-// configuration disabled branches: expansion and enumeration follow the
-// axis, so the CSV sites column never lies.
+// configuration disabled branches, so the CSV sites column never lies.
 TEST(SweepSpecTest, SitesAxisOverridesBaseBranchConfig) {
   SweepSpec spec;
   spec.circuits = {CircuitSource::catalog("s27")};
   spec.base.fault_sites.include_branches = false;
-  spec.base.expand_branches = false;
   spec.full_sites = {true, false};
   const std::vector<SweepJob> jobs = expand(spec);
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_TRUE(jobs[0].options.fault_sites.include_branches);
-  EXPECT_TRUE(jobs[0].options.expand_branches);
   EXPECT_FALSE(jobs[1].options.fault_sites.include_branches);
-  EXPECT_FALSE(jobs[1].options.expand_branches);
 }
 
 // A one-value axis says what the base option says: the two specs expand
@@ -522,7 +517,6 @@ TEST(SweepSpecTest, SingleValuedAxisEqualsBaseOption) {
       EXPECT_EQ(x.sequential.max_sync_frames, y.sequential.max_sync_frames);
       EXPECT_EQ(x.fault_dropping, y.fault_dropping);
       EXPECT_EQ(x.fault_sites, y.fault_sites);
-      EXPECT_EQ(x.expand_branches, y.expand_branches);
       EXPECT_EQ(x.learn, y.learn);
       EXPECT_EQ(x.fault_budget, y.fault_budget);
     }
@@ -552,7 +546,6 @@ TEST(SweepSpecTest, SingleValuedAxisEqualsBaseOption) {
 
   by_base = by_axis = plain;
   by_base.base.fault_sites.include_branches = false;
-  by_base.base.expand_branches = false;
   by_axis.full_sites = {false};
   expect_same_sweep(by_base, by_axis);
 }

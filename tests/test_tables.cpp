@@ -229,6 +229,21 @@ INSTANTIATE_TEST_SUITE_P(BothModes, AlgebraModeTest,
                                                              : "NonRobust";
                          });
 
+TEST(RegisterPrune, KeepsThePpiInitials) {
+  // TDgen's probe keys a PPI by its initials and seeds it with the raw
+  // set under them, pruned to the finals its PPO allows. A passing probe
+  // leaves every PPI non-empty, so the prune must keep the initials
+  // exactly: then a published stimulus fixes its source key, and the
+  // search can flag duplicates per key.
+  for (unsigned inits = 0; inits < 4; ++inits) {
+    const VSet raw = vset_with_initial_in(kPrimaryDomain, inits);
+    for (unsigned fins = 1; fins < 4; ++fins) {
+      EXPECT_EQ(vset_initials(vset_with_final_in(raw, fins)), inits)
+          << "initials " << inits << ", finals " << fins;
+    }
+  }
+}
+
 TEST(NonRobustTable, ExactlyTwoCellsRelaxed) {
   // The hazard relaxation: Fc survives beside a steady-but-hazardous 1.
   // (Relaxing changing off-paths as well would need ten values; see
